@@ -53,6 +53,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/datastates/mlpoffload/internal/agepick"
 	"github.com/datastates/mlpoffload/internal/clock"
 	"github.com/datastates/mlpoffload/internal/storage"
 	"github.com/datastates/mlpoffload/internal/tierlock"
@@ -328,31 +329,14 @@ func (e *Engine) next() *task {
 	return t
 }
 
-// pick implements the multi-level policy: serve the oldest op whose queue
-// age exceeds the aging threshold (starvation proofing, oldest first
-// across all classes), otherwise the head of the highest-priority
-// non-empty class. Caller holds mu and guarantees queued > 0.
+// pick dequeues the task chosen by the shared aging-then-priority
+// policy (internal/agepick). Stamps are signed offsets from now (the
+// negated queue age), so the aging cutoff is -aging and the comparison
+// stays exact integer arithmetic on the clock's readings. Caller holds mu
+// and guarantees queued > 0.
 func (e *Engine) pick(now time.Time) *task {
-	best := -1
-	if e.aging > 0 {
-		for c := 0; c < NumClasses; c++ {
-			q := e.queues[c]
-			if len(q) == 0 || now.Sub(q[0].op.queuedAt) < e.aging {
-				continue
-			}
-			if best == -1 || q[0].op.queuedAt.Before(e.queues[best][0].op.queuedAt) {
-				best = c
-			}
-		}
-	}
-	if best == -1 {
-		for c := 0; c < NumClasses; c++ {
-			if len(e.queues[c]) > 0 {
-				best = c
-				break
-			}
-		}
-	}
+	stamp := func(t *task) time.Duration { return t.op.queuedAt.Sub(now) }
+	best := agepick.Pick(e.queues[:], stamp, e.aging > 0, -e.aging)
 	t := e.queues[best][0]
 	e.queues[best][0] = nil // release for GC
 	e.queues[best] = e.queues[best][1:]
@@ -522,18 +506,6 @@ func (e *Engine) SubmitDelete(c Class, key string) (*Op, error) {
 	return e.submit(c, Delete, key, nil)
 }
 
-// SubmitRead enqueues a fetch at DemandFetch priority — the default for
-// callers that will block on the result immediately.
-func (e *Engine) SubmitRead(key string, dst []byte) (*Op, error) {
-	return e.submit(DemandFetch, Read, key, dst)
-}
-
-// SubmitWrite enqueues a flush at Flush priority — the default for lazy
-// durability writes.
-func (e *Engine) SubmitWrite(key string, src []byte) (*Op, error) {
-	return e.submit(Flush, Write, key, src)
-}
-
 // Promote raises a queued op to a more urgent class (typically a Prefetch
 // the update worker is now blocked on, promoted to DemandFetch). It is a
 // no-op if the op already started executing, completed, or already has
@@ -566,7 +538,7 @@ func (e *Engine) Promote(op *Op, c Class) {
 // ReadSync is a convenience synchronous read through the async path at
 // DemandFetch priority.
 func (e *Engine) ReadSync(key string, dst []byte) error {
-	op, err := e.SubmitRead(key, dst)
+	op, err := e.submit(DemandFetch, Read, key, dst)
 	if err != nil {
 		return err
 	}
@@ -576,7 +548,7 @@ func (e *Engine) ReadSync(key string, dst []byte) error {
 // WriteSync is a convenience synchronous write through the async path at
 // Flush priority.
 func (e *Engine) WriteSync(key string, src []byte) error {
-	op, err := e.SubmitWrite(key, src)
+	op, err := e.submit(Flush, Write, key, src)
 	if err != nil {
 		return err
 	}

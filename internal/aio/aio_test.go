@@ -22,7 +22,7 @@ func TestReadWriteRoundTrip(t *testing.T) {
 	defer e.Close()
 
 	payload := []byte{1, 2, 3, 4, 5}
-	wop, err := e.SubmitWrite("k", payload)
+	wop, err := e.SubmitWriteClass(Flush, "k", payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestReadWriteRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := make([]byte, len(payload))
-	rop, err := e.SubmitRead("k", dst)
+	rop, err := e.SubmitReadClass(DemandFetch, "k", dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestSyncHelpers(t *testing.T) {
 func TestErrorPropagation(t *testing.T) {
 	e := New(storage.NewMemTier("m"), Config{})
 	defer e.Close()
-	op, err := e.SubmitRead("missing", make([]byte, 4))
+	op, err := e.SubmitReadClass(DemandFetch, "missing", make([]byte, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestCloseRejectsNewWork(t *testing.T) {
 	e := New(storage.NewMemTier("m"), Config{})
 	e.Close()
 	e.Close() // idempotent
-	if _, err := e.SubmitWrite("k", []byte{1}); !errors.Is(err, ErrEngineClosed) {
+	if _, err := e.SubmitWriteClass(Flush, "k", []byte{1}); !errors.Is(err, ErrEngineClosed) {
 		t.Fatalf("want ErrEngineClosed, got %v", err)
 	}
 }
@@ -123,7 +123,7 @@ func TestCloseWaitsForQueued(t *testing.T) {
 	e := New(mem, Config{Workers: 1, QueueDepth: 32})
 	ops := make([]*Op, 0, 10)
 	for i := 0; i < 10; i++ {
-		op, err := e.SubmitWrite(fmt.Sprintf("k%d", i), make([]byte, 10))
+		op, err := e.SubmitWriteClass(Flush, fmt.Sprintf("k%d", i), make([]byte, 10))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +150,7 @@ func TestDrainBarrier(t *testing.T) {
 	e := New(storage.NewMemTier("m"), Config{Workers: 2, QueueDepth: 64})
 	defer e.Close()
 	for i := 0; i < 50; i++ {
-		if _, err := e.SubmitWrite(fmt.Sprintf("k%d", i), make([]byte, 8)); err != nil {
+		if _, err := e.SubmitWriteClass(Flush, fmt.Sprintf("k%d", i), make([]byte, 8)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -166,7 +166,7 @@ func TestWaitCtx(t *testing.T) {
 	// observed while the op genuinely runs — no real-time throttle needed.
 	g := newGateTier()
 	e := New(g, Config{Workers: 1})
-	op, err := e.SubmitWrite("k", make([]byte, 16))
+	op, err := e.SubmitWriteClass(Flush, "k", make([]byte, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestExclusiveLockSerializesTierAccess(t *testing.T) {
 func TestOpTimings(t *testing.T) {
 	e := New(storage.NewMemTier("m"), Config{Workers: 1})
 	defer e.Close()
-	op, err := e.SubmitWrite("k", make([]byte, 16))
+	op, err := e.SubmitWriteClass(Flush, "k", make([]byte, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -713,7 +713,7 @@ func BenchmarkAsyncWriteThroughput(b *testing.B) {
 	b.ResetTimer()
 	ops := make([]*Op, 0, 128)
 	for i := 0; i < b.N; i++ {
-		op, err := e.SubmitWrite(fmt.Sprintf("k%d", i%256), buf)
+		op, err := e.SubmitWriteClass(Flush, fmt.Sprintf("k%d", i%256), buf)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -742,7 +742,7 @@ func TestOpWireBytes(t *testing.T) {
 
 	plain := New(storage.NewMemTier("plain"), Config{Workers: 1})
 	defer plain.Close()
-	op, err := plain.SubmitWrite("k", payload)
+	op, err := plain.SubmitWriteClass(Flush, "k", payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -759,7 +759,7 @@ func TestOpWireBytes(t *testing.T) {
 	}
 	enc := New(ct, Config{Workers: 1})
 	defer enc.Close()
-	wop, err := enc.SubmitWrite("k", payload)
+	wop, err := enc.SubmitWriteClass(Flush, "k", payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -770,7 +770,7 @@ func TestOpWireBytes(t *testing.T) {
 		t.Fatalf("codec tier write wire bytes %d, want in (0, %d)", wop.WireBytes(), len(payload))
 	}
 	dst := make([]byte, len(payload))
-	rop, err := enc.SubmitRead("k", dst)
+	rop, err := enc.SubmitReadClass(DemandFetch, "k", dst)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,9 +27,9 @@ const GB = 1e9
 type GPU struct {
 	Name     string
 	MemBytes int64
-	// D2HBandwidth is the pinned device<->host transfer bandwidth in
-	// bytes/second (per GPU).
-	D2HBandwidth float64
+	// PinnedBandwidth is the pinned device<->host (D2H/H2D) transfer
+	// bandwidth in bytes/second (per GPU).
+	PinnedBandwidth float64
 	// TFLOPS is the sustained mixed-precision training throughput used by
 	// the compute-time model.
 	TFLOPS float64
@@ -86,7 +86,7 @@ func Testbed1() Testbed {
 	return Testbed{
 		Name:         "Testbed-1 (JLSE 4xH100)",
 		GPUsPerNode:  4,
-		GPU:          GPU{Name: "H100-80GB", MemBytes: 80 * GiB, D2HBandwidth: 55 * GB, TFLOPS: 273},
+		GPU:          GPU{Name: "H100-80GB", MemBytes: 80 * GiB, PinnedBandwidth: 55 * GB, TFLOPS: 273},
 		CPUCores:     96,
 		HostMemBytes: 512 * GiB,
 		NVMe: StorageTierSpec{
@@ -109,7 +109,7 @@ func Testbed2() Testbed {
 	return Testbed{
 		Name:         "Testbed-2 (Polaris 4xA100)",
 		GPUsPerNode:  4,
-		GPU:          GPU{Name: "A100-40GB", MemBytes: 40 * GiB, D2HBandwidth: 25 * GB, TFLOPS: 85},
+		GPU:          GPU{Name: "A100-40GB", MemBytes: 40 * GiB, PinnedBandwidth: 25 * GB, TFLOPS: 85},
 		CPUCores:     32,
 		HostMemBytes: 512 * GiB,
 		NVMe: StorageTierSpec{

@@ -10,8 +10,8 @@ func TestTable1Values(t *testing.T) {
 	if t1.GPUsPerNode != 4 || t1.GPU.Name != "H100-80GB" {
 		t.Errorf("testbed1 GPUs wrong: %+v", t1.GPU)
 	}
-	if t1.GPU.D2HBandwidth != 55*GB {
-		t.Errorf("testbed1 D2H = %g", t1.GPU.D2HBandwidth)
+	if t1.GPU.PinnedBandwidth != 55*GB {
+		t.Errorf("testbed1 D2H = %g", t1.GPU.PinnedBandwidth)
 	}
 	if t1.CPUCores != 96 || t1.HostMemBytes != 512*GiB {
 		t.Errorf("testbed1 CPU/mem wrong")
@@ -24,7 +24,7 @@ func TestTable1Values(t *testing.T) {
 	}
 
 	t2 := Testbed2()
-	if t2.GPU.D2HBandwidth != 25*GB || t2.CPUCores != 32 {
+	if t2.GPU.PinnedBandwidth != 25*GB || t2.CPUCores != 32 {
 		t.Errorf("testbed2 wrong: %+v", t2)
 	}
 	if t2.NVMe.ReadBW != 13.5*GB || t2.NVMe.WriteBW != 4.8*GB {

@@ -3,6 +3,8 @@ package des
 import (
 	"fmt"
 	"sort"
+
+	"github.com/datastates/mlpoffload/internal/agepick"
 )
 
 // Sched is a class-based priority scheduler: the DES analogue of the aio
@@ -11,7 +13,7 @@ import (
 // drains per-class FIFO queues, always serving the most urgent non-empty
 // class, except that any op older than the aging threshold is served
 // oldest-first regardless of class — the same starvation guard the real
-// engine applies.
+// engine applies, through the same pick function (internal/agepick).
 //
 // Ops carry an execution closure (typically a Mutex-guarded Link transfer
 // plus codec sleeps) so the scheduler composes with the existing DES
@@ -196,35 +198,17 @@ func (sc *Sched) wakeAll() {
 	sc.idle = nil
 }
 
-// pick dequeues the next op under the aging-then-priority policy, or nil.
+// pick dequeues the next op under the shared aging-then-priority policy
+// (internal/agepick, the same function the aio engine calls), or nil.
 func (sc *Sched) pick() *SchedOp {
-	now := sc.sim.now
-	if sc.cfg.Aging > 0 {
-		bestClass, bestIdx := -1, -1
-		bestT := now - sc.cfg.Aging
-		for c, q := range sc.queues {
-			// FIFO per class: the head is the oldest of its class.
-			if len(q) > 0 && q[0].queued <= bestT {
-				bestT = q[0].queued
-				bestClass, bestIdx = c, 0
-			}
-		}
-		if bestClass >= 0 {
-			return sc.dequeue(bestClass, bestIdx)
-		}
+	queued := func(op *SchedOp) float64 { return op.queued }
+	c := agepick.Pick(sc.queues, queued, sc.cfg.Aging > 0, sc.sim.now-sc.cfg.Aging)
+	if c < 0 {
+		return nil
 	}
-	for c, q := range sc.queues {
-		if len(q) > 0 {
-			return sc.dequeue(c, 0)
-		}
-	}
-	return nil
-}
-
-func (sc *Sched) dequeue(class, idx int) *SchedOp {
-	q := sc.queues[class]
-	op := q[idx]
-	sc.queues[class] = append(q[:idx], q[idx+1:]...)
+	q := sc.queues[c]
+	op := q[0]
+	sc.queues[c] = append(q[:0], q[1:]...)
 	return op
 }
 

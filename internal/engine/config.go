@@ -21,7 +21,6 @@ package engine
 import (
 	"fmt"
 	"runtime"
-	"time"
 
 	"github.com/datastates/mlpoffload/internal/clock"
 	"github.com/datastates/mlpoffload/internal/fp16"
@@ -30,7 +29,6 @@ import (
 	"github.com/datastates/mlpoffload/internal/storage"
 	"github.com/datastates/mlpoffload/internal/tiercodec"
 	"github.com/datastates/mlpoffload/internal/tierlock"
-	"github.com/datastates/mlpoffload/internal/wire"
 )
 
 // TierSpec couples a storage tier with its nominal bandwidths for
@@ -125,17 +123,12 @@ type Config struct {
 	PrefetchDepth int
 	// IOWorkers is the per-tier async I/O parallelism.
 	IOWorkers int
-	// CPUWorkers is the legacy per-call update-kernel parallelism (each
-	// StepFP16Parallel call spawns its own goroutines). Superseded by
-	// KernelWorkers; kept for the ablation of pooled vs per-call fan-out.
-	CPUWorkers int
 	// KernelWorkers sizes the engine-wide kernel worker pool that the
 	// Adam update and the FP16/BF16 bulk codecs draw from — one shared
-	// pool instead of per-call goroutine churn, and one knob instead of
-	// per-site CPUWorkers. Chunk boundaries are fixed (kernpool.ChunkElems),
-	// so parameters are bit-identical at any worker count. 0 auto-tunes to
-	// min(GOMAXPROCS, 16); 1 or negative runs kernels serially on the
-	// calling goroutine (the pre-pool behaviour).
+	// pool instead of per-call goroutine churn. Chunk boundaries are fixed
+	// (kernpool.ChunkElems), so parameters are bit-identical at any worker
+	// count. 0 auto-tunes to min(GOMAXPROCS, 16); 1 or negative runs
+	// kernels serially on the calling goroutine.
 	KernelWorkers int
 	// CoalesceFetches bounds the issuer's read-ahead coalescing: runs of
 	// up to this many adjacent same-tier subgroup fetches are submitted as
@@ -176,25 +169,15 @@ type Config struct {
 	// initialization (layernorm gains of 1 etc.).
 	InitParams func(globalIndex int64) float32
 
-	// D2HBandwidth throttles device<->host transfers in bytes/second
-	// (0 = unthrottled). Each engine owns its link (one PCIe per GPU).
-	D2HBandwidth float64
-
 	// CorruptRetries bounds how many times an update-phase fetch that
 	// failed integrity validation (tiercodec.ErrCorrupt) is re-read
 	// before the phase fails. Corruption injected in flight (a flaky
 	// link, a torn transfer) re-reads clean; corruption at rest keeps
 	// failing and surfaces as a clean phase error instead of a silently
 	// consumed garbage update. 0 defaults to 2; negative disables
-	// retries.
+	// retries. Re-reads are paced by a fixed backoff: 1ms doubling to a
+	// 20ms cap.
 	CorruptRetries int
-	// RetryBackoff paces the corrupt re-reads: the same clock-driven
-	// jittered-exponential policy (internal/wire) the elastic transport
-	// uses, so a burst of transient corruption backs off instead of
-	// hammering the tier with immediate re-reads. The zero value defaults
-	// to Base 1ms / Max 20ms / Factor 2, seeded with the rank; sleeps run
-	// on Clock, so virtual-clock tests assert exact pacing.
-	RetryBackoff wire.Backoff
 
 	// LossScaling enables dynamic loss scaling: gradient overflow (FP16
 	// Inf/NaN) skips the optimizer step and halves the scale, as
@@ -208,7 +191,7 @@ type Config struct {
 	ClipNorm float64
 
 	// Clock is the engine-wide time source: it reaches the aio engines'
-	// op stamps and aging pick, the D2H limiter's pacing, and the phase
+	// op stamps and aging pick, the corrupt-retry backoff, and the phase
 	// stopwatches. nil means the wall clock (production); a virtual clock
 	// (internal/clock) runs the whole engine on simulated time, which is
 	// how the timing test suites and `iobench -virtual` finish bandwidth
@@ -230,7 +213,6 @@ func BaselineConfig(rank int, params, subgroupParams int64, tiers []TierSpec) Co
 		HostCacheSlots: 3,
 		PrefetchDepth:  2,
 		IOWorkers:      2,
-		CPUWorkers:     1,
 		UpdateWorkers:  1,
 		KernelWorkers:  1,
 		Hyper:          optim.DefaultHyper(),
@@ -285,9 +267,6 @@ func (c *Config) validate() error {
 	if c.IOWorkers <= 0 {
 		c.IOWorkers = 2
 	}
-	if c.CPUWorkers <= 0 {
-		c.CPUWorkers = 1
-	}
 	if c.MigrationWindow == 0 {
 		c.MigrationWindow = 2
 	}
@@ -296,14 +275,6 @@ func (c *Config) validate() error {
 	}
 	if c.CorruptRetries < 0 {
 		c.CorruptRetries = 0
-	}
-	if c.RetryBackoff == (wire.Backoff{}) {
-		c.RetryBackoff = wire.Backoff{
-			Base:   time.Millisecond,
-			Max:    20 * time.Millisecond,
-			Factor: 2,
-			Seed:   uint64(c.Rank),
-		}
 	}
 	if c.GradAccumSteps <= 0 {
 		c.GradAccumSteps = 1

@@ -1,12 +1,12 @@
 package engine
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/datastates/mlpoffload/internal/aio"
 	"github.com/datastates/mlpoffload/internal/clock"
@@ -17,10 +17,10 @@ import (
 	"github.com/datastates/mlpoffload/internal/metrics"
 	"github.com/datastates/mlpoffload/internal/optim"
 	"github.com/datastates/mlpoffload/internal/placement"
-	"github.com/datastates/mlpoffload/internal/ratelimit"
 	"github.com/datastates/mlpoffload/internal/storage"
 	"github.com/datastates/mlpoffload/internal/subgroup"
 	"github.com/datastates/mlpoffload/internal/tiercodec"
+	"github.com/datastates/mlpoffload/internal/wire"
 )
 
 // locHost marks a subgroup whose FP32 state is resident in host memory.
@@ -64,8 +64,6 @@ type Engine struct {
 	// in-flight fetches: the buffer pools are sized generously to avoid
 	// pipeline deadlocks, so they cannot double as the fetch bound.
 	fetchSem chan struct{}
-
-	d2h *ratelimit.Limiter
 
 	// kern is the engine-wide kernel worker pool (KernelWorkers > 1):
 	// the Adam update and the FP16/BF16 bulk codecs fan their fixed-size
@@ -254,9 +252,6 @@ func New(cfg Config) (*Engine, error) {
 		fp16.EncodeOn(e.kern, e.params16[off:off+int64(sg.Len())], sg.State.Params)
 		off += int64(sg.Len())
 	}
-	if cfg.D2HBandwidth > 0 {
-		e.d2h = ratelimit.NewLimiter(cfg.D2HBandwidth, cfg.D2HBandwidth/4, e.clk)
-	}
 	if cfg.LossScaling {
 		e.scaler = optim.NewLossScaler()
 	}
@@ -352,12 +347,18 @@ func (e *Engine) waitDeletes() {
 // corruption the retry path absorbed.
 func (e *Engine) IntegrityRetries() int64 { return e.corruptRetries.Load() }
 
+// retryBackoff paces corrupt re-reads with the capped-exponential policy
+// (internal/wire) the elastic transport uses: 1ms doubling to a 20ms cap,
+// no jitter, so a burst of transient corruption backs off instead of
+// hammering the tier. Sleeps run on the engine clock, so virtual-clock
+// tests assert exact pacing.
+var retryBackoff = wire.Backoff{Base: time.Millisecond, Max: 20 * time.Millisecond, Factor: 2}
+
 // awaitRead waits for a submitted read, re-reading on integrity failure:
 // a fetch that completed with tiercodec.ErrCorrupt is resubmitted at
-// DemandFetch priority up to CorruptRetries times, paced by the
-// RetryBackoff policy on the engine clock (immediate re-reads hammer a
-// tier that is momentarily flaky; the jittered-exponential pause is the
-// same discipline network retries use). In-flight corruption (a flaky
+// DemandFetch priority up to CorruptRetries times, paced by retryBackoff
+// on the engine clock (immediate re-reads hammer a tier that is
+// momentarily flaky). In-flight corruption (a flaky
 // transfer) re-reads clean from the intact stored object; corruption at
 // rest keeps failing and the final ErrCorrupt propagates — the caller
 // fails cleanly, never consuming garbage. The returned op is the one
@@ -367,7 +368,7 @@ func (e *Engine) awaitRead(tier int, op *aio.Op, key string, dst []byte) (*aio.O
 	err := op.Wait()
 	for r := 0; err != nil && errors.Is(err, tiercodec.ErrCorrupt) && r < e.cfg.CorruptRetries; r++ {
 		e.corruptRetries.Add(1)
-		e.clk.Sleep(e.cfg.RetryBackoff.Delay(r))
+		e.clk.Sleep(retryBackoff.Delay(r))
 		rop, rerr := e.aios[tier].SubmitReadClass(aio.DemandFetch, key, dst)
 		if rerr != nil {
 			return op, err // cannot resubmit; surface the corruption
@@ -388,13 +389,6 @@ func (e *Engine) readSyncRetry(tier int, key string, dst []byte) error {
 	}
 	_, err = e.awaitRead(tier, op, key, dst)
 	return err
-}
-
-// d2hTransfer charges a device<->host transfer against the PCIe budget.
-func (e *Engine) d2hTransfer(bytes int64) {
-	if e.d2h != nil {
-		_ = e.d2h.WaitN(context.Background(), bytes)
-	}
 }
 
 // flushSync serializes subgroup i's state and writes it synchronously,
@@ -467,8 +461,6 @@ func (e *Engine) backward(iter int, accumStep int, lastAccum bool) error {
 				g32[j] = e.cfg.Grad(iter, off+int64(j), p)
 			}
 		}
-		// D2H: FP16 gradients leave the device.
-		e.d2hTransfer(int64(n) * 2)
 		if accumStep == 0 {
 			fp16.EncodeOn(e.kern, sg.Grads16, g32)
 		} else {
@@ -676,7 +668,5 @@ func (e *Engine) Close() {
 	for _, a := range e.aios {
 		a.Close()
 	}
-	if e.kern != nil {
-		e.kern.Close()
-	}
+	e.kern.Close()
 }

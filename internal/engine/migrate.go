@@ -37,12 +37,15 @@ import (
 //	   the destination, both at Migration class, staged through one of
 //	   MigrationWindow pooled buffers (the bound on migration memory and
 //	   concurrency).
-//	4. Under cacheMu: flip loc to the destination and clear the ticket —
-//	   only after the copy landed, so a failure at any earlier point
-//	   leaves the source object authoritative and the subgroup simply
-//	   re-enqueues at the next replan.
-//	5. Delete the stale source object (best effort; a failed delete
-//	   orphans bytes but can never corrupt, and is counted).
+//	4. Under cacheMu: flip loc to the destination — only after the copy
+//	   landed, so a failure at any earlier point leaves the source object
+//	   authoritative and the subgroup simply re-enqueues at the next
+//	   replan.
+//	5. Delete the stale source object and wait for it (best effort; a
+//	   failed delete orphans bytes but can never corrupt, and is
+//	   counted), then clear the ticket. A fetch waiting on the ticket
+//	   therefore never races the delete: the subgroup's next eviction
+//	   may write the key back to the source tier.
 //
 // Gradient objects are never migrated: they are per-iteration transients
 // whose location is tracked in gradLoc, and backward reclaims a stale
@@ -227,11 +230,22 @@ func (e *Engine) migrateOne(sg int) {
 	e.cacheMu.Unlock()
 
 	err := e.copyState(sg, from, to)
-
-	e.cacheMu.Lock()
 	if err == nil {
+		e.cacheMu.Lock()
 		e.loc[sg] = to
+		e.cacheMu.Unlock()
+		// The destination copy is authoritative; reclaim the source
+		// object. Failure here can only orphan bytes, never corrupt. The
+		// delete is waited *before* the ticket clears: once a fetch can
+		// proceed, the subgroup's next eviction may write this key back
+		// to the source tier (a replan can flip it back), and a delete
+		// still queued there at Migration class would land after that
+		// write and destroy the only copy.
+		if dop, derr := e.aios[from].SubmitDelete(aio.Migration, e.key(sg)); derr != nil || dop.Wait() != nil {
+			e.countOrphan()
+		}
 	}
+	e.cacheMu.Lock()
 	delete(e.migrating, sg)
 	e.cacheMu.Unlock()
 	close(tk.done)
@@ -240,20 +254,6 @@ func (e *Engine) migrateOne(sg int) {
 		e.abandonMigration(fmt.Errorf("engine: migrate subgroup %d %s→%s: %w",
 			sg, e.names[from], e.names[to], err))
 		return
-	}
-
-	// The destination copy is authoritative; reclaim the source object.
-	// Failure here can only orphan bytes, never corrupt. Recorded as the
-	// subgroup's delete ticket and waited inline: a later eviction or
-	// migration writing this key back to the source tier orders behind it
-	// (phase-start waitDeletes, or the ticket wait in copyState).
-	if dop, derr := e.aios[from].SubmitDelete(aio.Migration, e.key(sg)); derr == nil {
-		e.recordDelete(sg, dop)
-		if dop.Wait() != nil {
-			e.countOrphan()
-		}
-	} else {
-		e.countOrphan()
 	}
 
 	size := subgroup.StateBytes(e.shard.Subgroups[sg].Len())
@@ -284,9 +284,9 @@ func (e *Engine) copyState(sg, from, to int) error {
 		}
 	}
 
-	// Delete-after-write hazard on the destination: a previous eviction or
-	// migration may still have a reclamation delete of this key in flight
-	// on the destination tier; the write must not land under it.
+	// Delete-after-write hazard on the destination: a previous eviction
+	// may still have a reclamation delete of this key in flight on the
+	// destination tier; the write must not land under it.
 	e.mu.Lock()
 	dt := e.deleteTickets[sg]
 	e.mu.Unlock()

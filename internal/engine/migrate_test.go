@@ -145,6 +145,78 @@ func TestMigrationConvergesAfterBandwidthShift(t *testing.T) {
 	}
 }
 
+// gateDeleteTier holds every Delete until release is closed, signalling
+// started first, so a test can observe the engine mid-delete.
+type gateDeleteTier struct {
+	storage.Tier
+	started chan struct{} // buffered 1: the first delete's signal
+	release chan struct{}
+}
+
+func (g *gateDeleteTier) Delete(ctx context.Context, key string) error {
+	select {
+	case g.started <- struct{}{}:
+	default:
+	}
+	<-g.release
+	return g.Tier.Delete(ctx, key)
+}
+
+// TestMigrationTicketCoversSourceDelete: the migrating ticket a fetch
+// waits on must stay up until the source delete has landed. Once it
+// clears, the subgroup can be fetched, updated and evicted back to the
+// source tier (a replan can flip the plan back), and a delete still
+// queued there at Migration class would destroy the only copy.
+func TestMigrationTicketCoversSourceDelete(t *testing.T) {
+	src := &gateDeleteTier{Tier: storage.NewMemTier("nvme"), started: make(chan struct{}, 1), release: make(chan struct{})}
+	tiers := []TierSpec{
+		{Tier: src, ReadBW: 1e9, WriteBW: 1e9},
+		{Tier: storage.NewMemTier("pfs"), ReadBW: 1e9, WriteBW: 1e9},
+	}
+	e, err := New(MLPConfig(0, 400, 100, tiers, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	// Re-plan one subgroup offloaded on the source tier to the other.
+	e.cacheMu.Lock()
+	sg := -1
+	for i, l := range e.loc {
+		if l == 0 {
+			sg = i
+			break
+		}
+	}
+	if sg >= 0 {
+		e.plan.Assign = append([]int(nil), e.plan.Assign...)
+		e.plan.Assign[sg] = 1
+	}
+	e.cacheMu.Unlock()
+	if sg < 0 {
+		t.Fatal("no subgroup offloaded to the source tier")
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		e.migrateOne(sg)
+	}()
+	<-src.started
+	e.cacheMu.Lock()
+	ticket := e.migrating[sg]
+	e.cacheMu.Unlock()
+	close(src.release)
+	<-done
+	if ticket == nil {
+		t.Fatal("migration ticket cleared while the source delete was still in flight")
+	}
+	if st := e.MigrationStats(); st.Moves != 1 || st.Orphans != 0 {
+		t.Errorf("migration stats = %+v, want one clean move", st)
+	}
+	placementConsistent(t, e)
+}
+
 // TestMigrationDisabledKeepsLegacyBehaviour pins the MigrationWindow<0
 // escape hatch: plan drift is then only repaired by eviction traffic and
 // the migrator never runs.

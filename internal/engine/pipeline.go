@@ -666,22 +666,16 @@ func (e *Engine) processItem(run *phaseRun, item *updateItem) error {
 	var sw metrics.Stopwatch
 	sw.StartOn(e.clk)
 	applyClip(sg, run.clip, e.cfg.SkipGradFlush)
-	if e.kern != nil {
-		// Intra-subgroup parallelism: the update's element range is mined
-		// in fixed-size chunks by the shared kernel pool, so one subgroup's
-		// Adam step uses every kernel worker. Chunk boundaries are
-		// identical at any worker count (and on the serial path), so the
-		// parameters are bit-identical regardless of KernelWorkers.
-		if e.cfg.SkipGradFlush {
-			optim.StepFP16On(e.kern, sg.State, sg.Grads16, e.cfg.Hyper, e.step)
-		} else {
-			optim.StepFP32On(e.kern, sg.State, sg.Grads32, e.cfg.Hyper, e.step)
-			sg.Grads32 = nil // discarded after the update, as in ZeRO-3
-		}
-	} else if e.cfg.SkipGradFlush {
-		optim.StepFP16Parallel(sg.State, sg.Grads16, e.cfg.Hyper, e.step, e.cfg.CPUWorkers)
+	// Intra-subgroup parallelism: the update's element range is mined in
+	// fixed-size chunks by the shared kernel pool (nil when KernelWorkers
+	// <= 1: the same chunks, run serially), so one subgroup's Adam step
+	// uses every kernel worker. Chunk boundaries are identical at any
+	// worker count, so the parameters are bit-identical regardless of
+	// KernelWorkers.
+	if e.cfg.SkipGradFlush {
+		optim.StepFP16On(e.kern, sg.State, sg.Grads16, e.cfg.Hyper, e.step)
 	} else {
-		optim.StepFP32Parallel(sg.State, sg.Grads32, e.cfg.Hyper, e.step, e.cfg.CPUWorkers)
+		optim.StepFP32On(e.kern, sg.State, sg.Grads32, e.cfg.Hyper, e.step)
 		sg.Grads32 = nil // discarded after the update, as in ZeRO-3
 	}
 	if gradBacking != nil {
@@ -695,7 +689,6 @@ func (e *Engine) processItem(run *phaseRun, item *updateItem) error {
 	// H2D: the refreshed FP16 parameters return to the device.
 	off := e.sgOffset[item.sgID]
 	fp16.EncodeOn(e.kern, e.params16[off:off+int64(sg.Len())], sg.State.Params)
-	e.d2hTransfer(int64(sg.Len()) * 2)
 	return nil
 }
 

@@ -11,7 +11,6 @@ import (
 	"github.com/datastates/mlpoffload/internal/storage"
 	"github.com/datastates/mlpoffload/internal/subgroup"
 	"github.com/datastates/mlpoffload/internal/tiercodec"
-	"github.com/datastates/mlpoffload/internal/wire"
 )
 
 // TestNewRestoredAdoptsDeadRankShard: the elastic re-shard path — a
@@ -71,8 +70,9 @@ func TestNewRestoredAdoptsDeadRankShard(t *testing.T) {
 }
 
 // TestCorruptRetryBackoffExactVirtual: corrupt re-reads are paced by the
-// shared wire.Backoff policy on the engine clock — on a virtual clock
-// the elapsed time of an exhausted retry budget is exact.
+// engine's built-in backoff (1ms doubling, 20ms cap) on the engine clock
+// — on a virtual clock the elapsed time of an exhausted retry budget is
+// exact.
 func TestCorruptRetryBackoffExactVirtual(t *testing.T) {
 	clk := clock.NewVirtualAuto()
 	fault := tiercodec.NewFaultTier(storage.NewMemTier("nvme"), tiercodec.FaultConfig{
@@ -83,7 +83,6 @@ func TestCorruptRetryBackoffExactVirtual(t *testing.T) {
 	cfg.AdaptivePlacement = false
 	cfg.Clock = clk
 	cfg.CorruptRetries = 3
-	cfg.RetryBackoff = wire.Backoff{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond, Factor: 2}
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -109,8 +108,8 @@ func TestCorruptRetryBackoffExactVirtual(t *testing.T) {
 	if !errors.Is(err, tiercodec.ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt after exhausted retries", err)
 	}
-	// Three paced re-reads: 10 + 20 + 40 ms, exact on the virtual clock.
-	if got, want := clk.Since(start), 70*time.Millisecond; got != want {
+	// Three paced re-reads: 1 + 2 + 4 ms, exact on the virtual clock.
+	if got, want := clk.Since(start), 7*time.Millisecond; got != want {
 		t.Fatalf("retry pacing = %v, want exactly %v", got, want)
 	}
 	if got := e.IntegrityRetries(); got != 3 {

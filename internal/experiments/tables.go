@@ -18,7 +18,7 @@ func Tab1(Options) (string, error) {
 	t.AddRow("GPUs",
 		fmt.Sprintf("%dx %s", t1.GPUsPerNode, t1.GPU.Name),
 		fmt.Sprintf("%dx %s", t2.GPUsPerNode, t2.GPU.Name))
-	t.AddRow("Pinned D<->H B/W (GB/s)", gb(t1.GPU.D2HBandwidth), gb(t2.GPU.D2HBandwidth))
+	t.AddRow("Pinned D<->H B/W (GB/s)", gb(t1.GPU.PinnedBandwidth), gb(t2.GPU.PinnedBandwidth))
 	t.AddRow("CPU cores", fmt.Sprintf("%d", t1.CPUCores), fmt.Sprintf("%d", t2.CPUCores))
 	t.AddRow("Host memory (GB)",
 		fmt.Sprintf("%d", t1.HostMemBytes/cluster.GiB),

@@ -1,6 +1,10 @@
 package fp16
 
-import "math"
+import (
+	"math"
+
+	"github.com/datastates/mlpoffload/internal/kernpool"
+)
 
 // BF16 is a raw bfloat16 value (the other half-precision format the paper
 // mentions for mixed-precision training: same exponent range as FP32,
@@ -53,11 +57,11 @@ func EncodeBF16(dst []BF16, src []float32) int {
 	return n
 }
 
-// EncodeBF16On is EncodeBF16 fanned across the runner's workers;
+// EncodeBF16On is EncodeBF16 fanned across the kernel pool's workers;
 // bit-identical at any pool size.
-func EncodeBF16On(r Runner, dst []BF16, src []float32) int {
+func EncodeBF16On(p *kernpool.Pool, dst []BF16, src []float32) int {
 	n := min(len(dst), len(src))
-	runOn(r, n, func(lo, hi int) { encodeRangeBF16(dst, src, lo, hi) })
+	p.Run(n, func(lo, hi int) { encodeRangeBF16(dst, src, lo, hi) })
 	return n
 }
 
@@ -89,11 +93,11 @@ func DecodeBF16(dst []float32, src []BF16) int {
 	return n
 }
 
-// DecodeBF16On is DecodeBF16 fanned across the runner's workers;
+// DecodeBF16On is DecodeBF16 fanned across the kernel pool's workers;
 // bit-identical at any pool size.
-func DecodeBF16On(r Runner, dst []float32, src []BF16) int {
+func DecodeBF16On(p *kernpool.Pool, dst []float32, src []BF16) int {
 	n := min(len(dst), len(src))
-	runOn(r, n, func(lo, hi int) { decodeRangeBF16(dst, src, lo, hi) })
+	p.Run(n, func(lo, hi int) { decodeRangeBF16(dst, src, lo, hi) })
 	return n
 }
 

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"github.com/datastates/mlpoffload/internal/kernpool"
 )
 
 func TestKnownValues(t *testing.T) {
@@ -254,28 +256,39 @@ func TestSliceLengthMismatch(t *testing.T) {
 	}
 }
 
+// TestParallelMatchesSerial: the pooled bulk codecs must be bit-identical
+// to the serial kernels, at lengths that split into several kernel-pool
+// chunks plus a ragged tail.
 func TestParallelMatchesSerial(t *testing.T) {
+	p := kernpool.New(4)
+	defer p.Close()
 	rng := rand.New(rand.NewSource(7))
-	src := make([]float32, 50000)
-	for i := range src {
-		src[i] = (rng.Float32() - 0.5) * 1000
-	}
-	serial := make([]Bits, len(src))
-	par := make([]Bits, len(src))
-	Encode(serial, src)
-	EncodeParallel(par, src, 4)
-	for i := range serial {
-		if serial[i] != par[i] {
-			t.Fatalf("EncodeParallel diverges at %d", i)
+	for _, n := range []int{1, 1000, kernpool.ChunkElems, 3*kernpool.ChunkElems + 4097} {
+		src := make([]float32, n)
+		for i := range src {
+			src[i] = (rng.Float32() - 0.5) * 1000
 		}
-	}
-	ds := make([]float32, len(src))
-	dp := make([]float32, len(src))
-	Decode(ds, serial)
-	DecodeParallel(dp, serial, 4)
-	for i := range ds {
-		if ds[i] != dp[i] {
-			t.Fatalf("DecodeParallel diverges at %d", i)
+		serial := make([]Bits, n)
+		par := make([]Bits, n)
+		Encode(serial, src)
+		if got := EncodeOn(p, par, src); got != n {
+			t.Fatalf("n=%d: EncodeOn converted %d", n, got)
+		}
+		for i := range serial {
+			if serial[i] != par[i] {
+				t.Fatalf("n=%d: EncodeOn diverges at %d", n, i)
+			}
+		}
+		ds := make([]float32, n)
+		dp := make([]float32, n)
+		Decode(ds, serial)
+		if got := DecodeOn(p, dp, serial); got != n {
+			t.Fatalf("n=%d: DecodeOn converted %d", n, got)
+		}
+		for i := range ds {
+			if ds[i] != dp[i] {
+				t.Fatalf("n=%d: DecodeOn diverges at %d", n, i)
+			}
 		}
 	}
 }
@@ -329,18 +342,5 @@ func BenchmarkDecode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Decode(dst, src)
-	}
-}
-
-func BenchmarkDecodeParallel(b *testing.B) {
-	src := make([]Bits, 1<<20)
-	for i := range src {
-		src[i] = Bits(i & 0x7BFF)
-	}
-	dst := make([]float32, len(src))
-	b.SetBytes(int64(len(src) * 2))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		DecodeParallel(dst, src, 0)
 	}
 }

@@ -2,7 +2,7 @@
 // update phase of offloaded training. When the optimizer state lives on
 // host memory or third-level storage, updates run on the CPU (transferring
 // FP32 state to the GPU would negate its compute advantage), chunk-parallel
-// across cores.
+// across cores through the shared kernel pool (internal/kernpool).
 //
 // Two gradient paths are provided:
 //   - StepFP32: the baseline path — gradients were upscaled to FP32 during
@@ -22,6 +22,7 @@ import (
 	"math"
 
 	"github.com/datastates/mlpoffload/internal/fp16"
+	"github.com/datastates/mlpoffload/internal/kernpool"
 )
 
 // Hyper holds Adam hyperparameters.
@@ -143,91 +144,28 @@ func StepFP16(s *State, grads []fp16.Bits, h Hyper, t int) {
 	stepRange(s, h, c1, c2, 0, s.Len(), func(i int) float32 { return fp16.ToFloat32(grads[i]) })
 }
 
-// StepFP32Parallel is StepFP32 split across workers goroutines (0 means 1;
-// chunking does not change results because elements are independent).
-func StepFP32Parallel(s *State, grads []float32, h Hyper, t, workers int) {
+// StepFP32On is StepFP32 fanned across the kernel pool's workers. A nil
+// pool runs serially. Chunking never changes results: every element's
+// update is independent and the pool's chunk boundaries do not depend on
+// its worker count, so the outcome is bit-identical to StepFP32 at any
+// pool size.
+func StepFP32On(p *kernpool.Pool, s *State, grads []float32, h Hyper, t int) {
 	s.checkLens(len(grads))
 	c1, c2 := biasCorrections(h, t)
-	parallelChunks(s.Len(), workers, func(lo, hi int) {
+	p.Run(s.Len(), func(lo, hi int) {
 		stepRange(s, h, c1, c2, lo, hi, func(i int) float32 { return grads[i] })
 	})
 }
 
-// StepFP16Parallel is StepFP16 split across workers goroutines.
-func StepFP16Parallel(s *State, grads []fp16.Bits, h Hyper, t, workers int) {
+// StepFP16On is StepFP16 fanned across the kernel pool's workers,
+// widening each FP16 gradient on the fly. Bit-identical to StepFP16 at
+// any pool size (see StepFP32On).
+func StepFP16On(p *kernpool.Pool, s *State, grads []fp16.Bits, h Hyper, t int) {
 	s.checkLens(len(grads))
 	c1, c2 := biasCorrections(h, t)
-	parallelChunks(s.Len(), workers, func(lo, hi int) {
+	p.Run(s.Len(), func(lo, hi int) {
 		stepRange(s, h, c1, c2, lo, hi, func(i int) float32 { return fp16.ToFloat32(grads[i]) })
 	})
-}
-
-// Runner abstracts a shared kernel worker pool (internal/kernpool's
-// Pool implements it): Run executes fn over [0, n) split into
-// deterministic chunks whose boundaries do not depend on the worker
-// count. The Step...On variants draw intra-subgroup parallelism from it
-// instead of spawning per-call goroutines, so one engine-wide pool
-// bounds total kernel parallelism across all concurrent update workers.
-type Runner interface {
-	Run(n int, fn func(lo, hi int))
-}
-
-// StepFP32On is StepFP32 fanned across the runner's workers. A nil
-// runner runs serially. Chunking never changes results: every element's
-// update is independent, so the outcome is bit-identical to StepFP32 at
-// any pool size.
-func StepFP32On(r Runner, s *State, grads []float32, h Hyper, t int) {
-	s.checkLens(len(grads))
-	c1, c2 := biasCorrections(h, t)
-	run(r, s.Len(), func(lo, hi int) {
-		stepRange(s, h, c1, c2, lo, hi, func(i int) float32 { return grads[i] })
-	})
-}
-
-// StepFP16On is StepFP16 fanned across the runner's workers, widening
-// each FP16 gradient on the fly. Bit-identical to StepFP16 at any pool
-// size (see StepFP32On).
-func StepFP16On(r Runner, s *State, grads []fp16.Bits, h Hyper, t int) {
-	s.checkLens(len(grads))
-	c1, c2 := biasCorrections(h, t)
-	run(r, s.Len(), func(lo, hi int) {
-		stepRange(s, h, c1, c2, lo, hi, func(i int) float32 { return fp16.ToFloat32(grads[i]) })
-	})
-}
-
-// run dispatches through the runner, or inline when it is nil. A typed
-// nil inside a non-nil interface is the runner's own problem —
-// kernpool.Pool's methods accept a nil receiver.
-func run(r Runner, n int, fn func(lo, hi int)) {
-	if r == nil {
-		fn(0, n)
-		return
-	}
-	r.Run(n, fn)
-}
-
-func parallelChunks(n, workers int, fn func(lo, hi int)) {
-	if workers <= 1 || n < 8192 {
-		fn(0, n)
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	done := make(chan struct{}, workers)
-	launched := 0
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		launched++
-		go func(lo, hi int) {
-			fn(lo, hi)
-			done <- struct{}{}
-		}(lo, hi)
-	}
-	for i := 0; i < launched; i++ {
-		<-done
-	}
 }
 
 // GradNorm returns the L2 norm of an FP32 gradient buffer, used for the

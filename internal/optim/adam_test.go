@@ -85,38 +85,6 @@ func TestFP16PathMatchesFP32Path(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSerial(t *testing.T) {
-	h := DefaultHyper()
-	rng := rand.New(rand.NewSource(3))
-	n := 40000
-	params := make([]float32, n)
-	grads := make([]float32, n)
-	for i := range params {
-		params[i] = rng.Float32()
-		grads[i] = rng.Float32() * 0.01
-	}
-	a := NewState(params)
-	b := NewState(params)
-	StepFP32(a, grads, h, 1)
-	StepFP32Parallel(b, grads, h, 1, 4)
-	for i := 0; i < n; i++ {
-		if a.Params[i] != b.Params[i] {
-			t.Fatalf("parallel diverges at %d", i)
-		}
-	}
-	g16 := make([]fp16.Bits, n)
-	fp16.Encode(g16, grads)
-	c := NewState(params)
-	d := NewState(params)
-	StepFP16(c, g16, h, 1)
-	StepFP16Parallel(d, g16, h, 1, 4)
-	for i := 0; i < n; i++ {
-		if c.Params[i] != d.Params[i] {
-			t.Fatalf("fp16 parallel diverges at %d", i)
-		}
-	}
-}
-
 func TestConvergesOnQuadratic(t *testing.T) {
 	// Minimize f(p) = 0.5*(p-3)^2 per-coordinate; Adam should approach 3.
 	h := Hyper{LR: 0.05, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}

@@ -78,7 +78,6 @@ func TestSimVsRealDrift(t *testing.T) {
 		HostCacheSlots:  3,
 		PrefetchDepth:   3,
 		IOWorkers:       2,
-		CPUWorkers:      1,
 		KernelWorkers:   1,  // serial kernels: zero virtual time either way
 		UpdateWorkers:   -1, // sequential update phase, like the sim consumer
 		CoalesceFetches: -1,
@@ -108,7 +107,7 @@ func TestSimVsRealDrift(t *testing.T) {
 	tb := cluster.Testbed{
 		Name:         "drift-rig",
 		GPUsPerNode:  1,
-		GPU:          cluster.GPU{Name: "virtual", MemBytes: 1 << 40, D2HBandwidth: 1e18, TFLOPS: 1e9},
+		GPU:          cluster.GPU{Name: "virtual", MemBytes: 1 << 40, PinnedBandwidth: 1e18, TFLOPS: 1e9},
 		CPUCores:     8,
 		HostMemBytes: 1 << 40,
 		NVMe: cluster.StorageTierSpec{

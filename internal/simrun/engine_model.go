@@ -381,7 +381,7 @@ func runSched(cfg Config) (*Result, error) {
 	barrier := sim.NewBarrier(W)
 
 	const fp16Bytes = 2.0
-	d2h := tb.GPU.D2HBandwidth
+	d2h := tb.GPU.PinnedBandwidth
 	conv := tb.CPUConvertBytesPerSec
 
 	// kickMigration drains a worker's misplaced subgroups toward the plan

@@ -222,13 +222,6 @@ func (c *Config) normalize() error {
 	return nil
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // SubgroupIO is one Figure 5 trace point: the I/O throughput worker 0
 // observed for one subgroup's fetch and flush.
 type SubgroupIO struct {
@@ -463,7 +456,7 @@ func Run(cfg Config) (*Result, error) {
 	barrier := sim.NewBarrier(W)
 
 	const fp16Bytes = 2.0
-	d2h := tb.GPU.D2HBandwidth
+	d2h := tb.GPU.PinnedBandwidth
 	conv := tb.CPUConvertBytesPerSec
 
 	for w := 0; w < W; w++ {

@@ -128,13 +128,6 @@ func (n *Node) Train(iters int) (*metrics.Series, error) {
 	return s, nil
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // aggregate folds per-worker iterations into the node view.
 func aggregate(workers []metrics.Iteration) metrics.Iteration {
 	var out metrics.Iteration

@@ -15,7 +15,8 @@
 //     Adam updates, and an in-order committer driving the host cache and
 //     lazy eviction flushes — so the CPU-side update of one subgroup
 //     overlaps with tier reads and writes for its neighbours.
-//     UpdateWorkers=1 (the default) reproduces the paper's sequential
+//     UpdateWorkers=1 (what BaselineConfig pins; MLPConfig auto-tunes
+//     the width from GOMAXPROCS) reproduces the paper's sequential
 //     update phase bit-for-bit; any worker count yields identical
 //     parameters. Tier traffic is priority-scheduled: every I/O op
 //     carries a class (demand fetch > grad read > prefetch > flush >
@@ -70,7 +71,6 @@ import (
 	"github.com/datastates/mlpoffload/internal/tiercodec"
 	"github.com/datastates/mlpoffload/internal/tierlock"
 	"github.com/datastates/mlpoffload/internal/train"
-	"github.com/datastates/mlpoffload/internal/wire"
 )
 
 // ---- Real engine ----
@@ -218,11 +218,6 @@ func NewElasticCoordinator(cfg ElasticCoordinatorConfig) (*ElasticCoordinator, e
 func RunElasticMember(ctx context.Context, cfg ElasticMemberConfig) (*ElasticMember, error) {
 	return train.RunMember(ctx, cfg)
 }
-
-// RetryBackoff is the shared clock-driven retry policy (jittered
-// capped exponential) used by the wire transport, engine corrupt-read
-// retries, and member dialing. Its zero value is usable.
-type RetryBackoff = wire.Backoff
 
 // RecoverySpec models elastic failure/recovery economics — expected
 // rollback cost and the Young/Daly optimal checkpoint interval.

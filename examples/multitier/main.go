@@ -101,24 +101,40 @@ func convergenceDemo() {
 	defer eng.Close()
 
 	fmt.Println("\nplan convergence under a mid-run PFS slowdown (1 worker):")
-	fmt.Printf("%-5s %-22s %-11s %-11s\n", "iter", "plan", "misplaced", "migrations")
+	fmt.Printf("%-5s %-22s %-11s %-11s %-11s\n", "iter", "plan", "misplaced", "migrations", "displaced")
 	const slowdownAt = 3
+	// displaced sums |ΔCounts[0]| over the replans: with two tiers that is
+	// exactly how many subgroups the plans reassigned, so the migrator
+	// must never have to move more.
+	var displaced int64
 	for i := 0; i < 10; i++ {
 		if i == slowdownAt {
 			pfs.SetRates(10e6, 10e6) // external load: PFS drops to 1/10th
 			fmt.Println("      >>> pfs collapses to 10 MB/s <<<")
 		}
+		before := eng.Plan().Counts[0]
 		if _, err := eng.TrainIteration(i); err != nil {
 			log.Fatal(err)
 		}
 		eng.Drain() // quiesce migrations so the placement snapshot is stable
-		st := eng.MigrationStats()
-		fmt.Printf("%-5d %-22s %-11d %-11d\n",
-			i, eng.Plan().Ratio(), eng.MisplacedSubgroups(), st.Moves)
+		displaced += int64(abs(eng.Plan().Counts[0] - before))
+		fmt.Printf("%-5d %-22s %-11d %-11d %-11d\n",
+			i, eng.Plan().Ratio(), eng.MisplacedSubgroups(), eng.MigrationStats().Moves, displaced)
 	}
-	if eng.MisplacedSubgroups() == 0 {
-		fmt.Println("placement converged: every subgroup is on its planned tier")
+	if n := eng.MisplacedSubgroups(); n != 0 {
+		log.Fatalf("placement did not converge: %d subgroups off their planned tier", n)
 	}
+	if moves := eng.MigrationStats().Moves; moves > displaced {
+		log.Fatalf("migrator moved %d subgroups, but the replans displaced only %d", moves, displaced)
+	}
+	fmt.Println("placement converged: every subgroup is on its planned tier")
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
 }
 
 func main() {

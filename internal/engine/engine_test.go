@@ -335,8 +335,10 @@ func TestAdaptivePlacementReactsToSlowTier(t *testing.T) {
 	// adaptive placement should shift subgroups to tier0 over iterations.
 	fast := storage.NewMemTier("fast")
 	slowInner := storage.NewMemTier("slow")
+	// Bursts below the 1.2 KB subgroup object: with the default quarter
+	// second of burst every transfer here would run at memory speed.
 	slow := storage.NewThrottled(slowInner, storage.ThrottleConfig{
-		ReadBW: 200 * 1024, WriteBW: 200 * 1024,
+		ReadBW: 200 * 1024, WriteBW: 200 * 1024, ReadBurst: 512, WriteBurst: 512,
 	})
 	tiers := []TierSpec{
 		{Tier: fast, ReadBW: 1000, WriteBW: 1000},

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"github.com/datastates/mlpoffload/internal/aio"
+	"github.com/datastates/mlpoffload/internal/placement"
 	"github.com/datastates/mlpoffload/internal/subgroup"
 )
 
@@ -112,6 +113,19 @@ func (e *Engine) MisplacedSubgroups() int {
 		}
 	}
 	return n
+}
+
+// replan is the adaptive replanning step (§3.3): Eq. 1 on the observed
+// bandwidths, then live migration of every offloaded subgroup the new
+// plan displaced — the migrator converges reality onto the plan in the
+// background instead of waiting for eviction traffic to happen to pass
+// by. NewPlan's nested order keeps that set to the count change.
+func (e *Engine) replan() {
+	newPlan := placement.NewPlan(len(e.shard.Subgroups), e.bandwidths())
+	e.cacheMu.Lock()
+	e.plan = newPlan
+	e.cacheMu.Unlock()
+	e.scheduleMigrations()
 }
 
 // scheduleMigrations enqueues every offloaded subgroup whose backing tier

@@ -397,3 +397,43 @@ func TestMigrationChurnRaces(t *testing.T) {
 	e.Drain()
 	placementConsistent(t, e)
 }
+
+// TestReplanMovesOnlyDisplacedSubgroups: a replan that shifts the split by
+// one subgroup must migrate at most that one subgroup. Observed bandwidths
+// are noise on memory tiers, so the estimator is re-seeded by hand between
+// replans; the replan itself is the update phase's own step.
+func TestReplanMovesOnlyDisplacedSubgroups(t *testing.T) {
+	cfg := MLPConfig(0, 2400, 200, memTiers(1000, 1000), nil) // 12 subgroups
+	cfg.Grad = QuadraticGradFn(2)
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	trainRange(t, e, 0, 3)
+
+	replanTo := func(bw0, bw1 float64, want0, want1 int) int64 {
+		t.Helper()
+		e.Drain()
+		before := e.MigrationStats().Moves
+		e.est.Seed(e.names[0], bw0, bw0)
+		e.est.Seed(e.names[1], bw1, bw1)
+		e.replan()
+		e.Drain()
+		if c := e.Plan().Counts; c[0] != want0 || c[1] != want1 {
+			t.Fatalf("plan %s, want %d:%d", e.Plan().Ratio(), want0, want1)
+		}
+		if n := e.MisplacedSubgroups(); n != 0 {
+			t.Fatalf("plan %s: %d subgroups misplaced after Drain", e.Plan().Ratio(), n)
+		}
+		return e.MigrationStats().Moves - before
+	}
+	replanTo(1000, 1000, 6, 6)
+	if moved := replanTo(1000, 1400, 5, 7); moved > 1 {
+		t.Errorf("6:6 -> 5:7 replan migrated %d subgroups, want at most 1", moved)
+	}
+	if st := e.MigrationStats(); st.Err != nil {
+		t.Errorf("migration error: %v", st.Err)
+	}
+	placementConsistent(t, e)
+}

@@ -11,7 +11,6 @@ import (
 	"github.com/datastates/mlpoffload/internal/hostcache"
 	"github.com/datastates/mlpoffload/internal/metrics"
 	"github.com/datastates/mlpoffload/internal/optim"
-	"github.com/datastates/mlpoffload/internal/placement"
 	"github.com/datastates/mlpoffload/internal/subgroup"
 )
 
@@ -200,16 +199,8 @@ func (e *Engine) updatePhase(it *metrics.Iteration) error {
 	e.asyncFlushStats.class = nil
 	e.mu.Unlock()
 
-	// Adaptive replanning from observed bandwidths (§3.3), then live
-	// migration of every offloaded subgroup the new plan displaced — the
-	// migrator converges reality onto the plan in the background instead
-	// of waiting for eviction traffic to happen to pass by.
 	if e.cfg.AdaptivePlacement {
-		newPlan := placement.NewPlan(m, e.bandwidths())
-		e.cacheMu.Lock()
-		e.plan = newPlan
-		e.cacheMu.Unlock()
-		e.scheduleMigrations()
+		e.replan()
 	}
 	return nil
 }

@@ -7,12 +7,15 @@
 // bandwidth (min of read and write throughput) of path i. Bandwidths start
 // from microbenchmarks and are re-estimated each iteration from observed
 // fetch/flush throughput (EWMA), so placement adapts to external pressure
-// on shared tiers like a PFS.
+// on shared tiers like a PFS. NewPlan lays the counts out in a nested
+// low-discrepancy order, so the tiers stay interleaved and a replan moves
+// only the subgroups its count change displaces.
 package placement
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 )
@@ -86,38 +89,34 @@ func Split(m int, tiers []TierBandwidth) []int {
 	return counts
 }
 
-// NewPlan builds a full plan: Split plus a deterministic interleaved
-// subgroup→tier assignment. Interleaving (round-robin weighted by counts)
-// rather than contiguous blocks lets consecutive subgroups prefetch from
-// different paths in parallel, which is what gives multi-path I/O its
-// overlap (Figure 6: S1 from NVMe and S2 from PFS fetched concurrently).
+// NewPlan builds a full plan: Split plus a deterministic nested
+// assignment. Subgroups are ranked once in bit-reversed (van der Corput)
+// index order, skipping indices >= m, and tier i takes ranks
+// [C_{i-1}, C_i) where C is the running sum of the counts. Low-discrepancy
+// ranks keep every tier spread across the shard, so consecutive subgroups
+// prefetch from different paths in parallel (Figure 6: S1 from NVMe and S2
+// from PFS fetched concurrently); an even two-tier split alternates
+// exactly, and the longest run without a tier-t subgroup stays within
+// 2*ceil(m/c_t) for two tiers and 3*ceil(m/c_t) for three. Because the
+// rank order depends only on m, a replan moves at most sum_j |ΔC_j|
+// subgroups — exactly |Δcount| with two tiers — so the live migrator
+// copies only what the count change displaced.
 func NewPlan(m int, tiers []TierBandwidth) Plan {
 	counts := Split(m, tiers)
 	assign := make([]int, m)
-	remaining := append([]int(nil), counts...)
-	// Largest-remaining-count first each step => weighted round robin.
-	for sg := 0; sg < m; sg++ {
-		best := -1
-		for i := range remaining {
-			if remaining[i] <= 0 {
-				continue
-			}
-			if best == -1 {
-				best = i
-				continue
-			}
-			// Compare remaining share relative to plan size.
-			a := float64(remaining[i]) / float64(counts[i])
-			b := float64(remaining[best]) / float64(counts[best])
-			if a > b || (a == b && remaining[i] > remaining[best]) {
-				best = i
-			}
+	width := bits.Len(uint(max(m, 1) - 1))
+	rank, tier, next := 0, -1, 0 // next: first rank past tier's block
+	for i := 0; i < 1<<width; i++ {
+		sg := int(bits.Reverse(uint(i)) >> (bits.UintSize - width))
+		if sg >= m {
+			continue
 		}
-		if best == -1 {
-			panic("placement: ran out of capacity before assigning all subgroups")
+		for rank == next {
+			tier++
+			next += counts[tier]
 		}
-		assign[sg] = best
-		remaining[best]--
+		assign[sg] = tier
+		rank++
 	}
 	return Plan{Tiers: append([]TierBandwidth(nil), tiers...), Counts: counts, Assign: assign}
 }

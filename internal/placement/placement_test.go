@@ -2,6 +2,8 @@ package placement
 
 import (
 	"math"
+	"math/bits"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -116,6 +118,193 @@ func TestNewPlanInterleaves(t *testing.T) {
 		}
 		if len(seen) != 2 {
 			t.Fatalf("window [%d,%d) uses only tiers %v — not interleaved", lo, lo+6, seen)
+		}
+	}
+}
+
+// planFor builds a plan whose Split yields exactly counts: bandwidths
+// equal to the counts make every proportional share exact, and a zero
+// count is a zero-bandwidth tier.
+func planFor(counts ...int) Plan {
+	m := 0
+	tiers := make([]TierBandwidth, len(counts))
+	for i, c := range counts {
+		m += c
+		tiers[i] = TierBandwidth{Name: string(rune('a' + i)), BW: float64(c)}
+	}
+	return NewPlan(m, tiers)
+}
+
+// tally counts the subgroups Assign places on each tier.
+func tally(p Plan) []int {
+	got := make([]int, len(p.Tiers))
+	for _, ti := range p.Assign {
+		got[ti]++
+	}
+	return got
+}
+
+// longestGap is the longest run of consecutive subgroups none of which is
+// on tier ti.
+func longestGap(assign []int, ti int) int {
+	longest, run := 0, 0
+	for _, x := range assign {
+		if x == ti {
+			run = 0
+			continue
+		}
+		run++
+		longest = max(longest, run)
+	}
+	return longest
+}
+
+func TestNewPlanExactCounts(t *testing.T) {
+	for m := 0; m <= 64; m++ {
+		for c0 := 0; c0 <= m; c0++ {
+			for c1 := 0; c0+c1 <= m; c1++ {
+				want := []int{c0, c1, m - c0 - c1}
+				p := planFor(want...)
+				if len(p.Assign) != m {
+					t.Fatalf("m=%d: len(Assign)=%d", m, len(p.Assign))
+				}
+				for i, got := range tally(p) {
+					if got != want[i] || p.Counts[i] != want[i] {
+						t.Fatalf("split %v: tier %d assigned %d, Counts %d", want, i, got, p.Counts[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestNewPlanTwoTierMovesEqualCountChange: with two tiers, replanning from
+// any split to any other reassigns exactly |Δc0| subgroups.
+func TestNewPlanTwoTierMovesEqualCountChange(t *testing.T) {
+	const maxM = 256
+	for m := 1; m <= maxM; m++ {
+		// onA[c0] is the tier-0 membership bitset of the c0:(m-c0) plan;
+		// with two tiers a subgroup changes tier iff its membership flips.
+		onA := make([][maxM / 64]uint64, m+1)
+		for c0 := 0; c0 <= m; c0++ {
+			for sg, ti := range planFor(c0, m-c0).Assign {
+				if ti == 0 {
+					onA[c0][sg/64] |= 1 << (sg % 64)
+				}
+			}
+		}
+		for c := 0; c <= m; c++ {
+			for c2 := 0; c2 <= m; c2++ {
+				moved := 0
+				for w := range onA[c] {
+					moved += bits.OnesCount64(onA[c][w] ^ onA[c2][w])
+				}
+				if want := max(c-c2, c2-c); moved != want {
+					t.Fatalf("m=%d: %d:%d -> %d:%d moved %d subgroups, want %d", m, c, m-c, c2, m-c2, moved, want)
+				}
+			}
+		}
+	}
+}
+
+// TestNewPlanMovesBoundedByBoundaryShift: with k tiers a replan moves at
+// most sum_j |ΔC_j| subgroups, C being the running sum of the counts.
+func TestNewPlanMovesBoundedByBoundaryShift(t *testing.T) {
+	f := func(mSeed uint8, k3 bool, from, to [3]uint8) bool {
+		m := int(mSeed) + 1
+		k := 4
+		if k3 {
+			k = 3
+		}
+		// Cut points in [0, m] sorted into running sums C_0..C_{k-2}.
+		cuts := func(seeds [3]uint8) []int {
+			c := make([]int, k-1)
+			for j := range c {
+				c[j] = int(seeds[j]) % (m + 1)
+			}
+			sort.Ints(c)
+			return c
+		}
+		counts := func(c []int) []int {
+			out, prev := make([]int, k), 0
+			for j, cj := range c {
+				out[j], prev = cj-prev, cj
+			}
+			out[k-1] = m - prev
+			return out
+		}
+		ca, cb := cuts(from), cuts(to)
+		a, b := planFor(counts(ca)...), planFor(counts(cb)...)
+		moved, bound := 0, 0
+		for sg := range a.Assign {
+			if a.Assign[sg] != b.Assign[sg] {
+				moved++
+			}
+		}
+		for j := range ca {
+			bound += max(ca[j]-cb[j], cb[j]-ca[j])
+		}
+		return moved <= bound
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestNewPlanSpread: every tier stays spread across the shard — the
+// longest stretch without a tier-t subgroup is at most 2*ceil(m/c_t) with
+// two tiers and 3*ceil(m/c_t) with three — and an even two-tier split
+// alternates exactly.
+func TestNewPlanSpread(t *testing.T) {
+	check := func(p Plan, factor int) {
+		t.Helper()
+		m := len(p.Assign)
+		for ti, c := range p.Counts {
+			if c == 0 {
+				continue
+			}
+			if g, lim := longestGap(p.Assign, ti), factor*((m+c-1)/c); g > lim {
+				t.Fatalf("split %v: tier %d has a %d-subgroup gap, limit %d", p.Counts, ti, g, lim)
+			}
+		}
+	}
+	for m := 1; m <= 256; m++ {
+		for c0 := 0; c0 <= m; c0++ {
+			check(planFor(c0, m-c0), 2)
+		}
+		if m%2 == 0 {
+			for sg, ti := range planFor(m/2, m/2).Assign {
+				if ti != sg%2 {
+					t.Fatalf("m=%d even split: subgroup %d on tier %d, want alternation", m, sg, ti)
+				}
+			}
+		}
+	}
+	for m := 1; m <= 64; m++ {
+		for c0 := 0; c0 <= m; c0++ {
+			for c1 := 0; c0+c1 <= m; c1++ {
+				check(planFor(c0, c1, m-c0-c1), 3)
+			}
+		}
+	}
+}
+
+func TestNewPlanTinyShards(t *testing.T) {
+	tiers := []TierBandwidth{{"a", 1}, {"b", 3}}
+	if p := NewPlan(0, tiers); len(p.Assign) != 0 || p.Counts[0]+p.Counts[1] != 0 {
+		t.Errorf("m=0: Assign=%v Counts=%v", p.Assign, p.Counts)
+	}
+	p := NewPlan(1, tiers)
+	if len(p.Assign) != 1 || p.Counts[p.Assign[0]] != 1 {
+		t.Errorf("m=1: Assign=%v Counts=%v", p.Assign, p.Counts)
+	}
+}
+
+func TestNewPlanZeroBandwidthTierGetsNothing(t *testing.T) {
+	for m := 1; m <= 64; m++ {
+		p := NewPlan(m, []TierBandwidth{{"a", 2}, {"dead", 0}, {"b", 1}})
+		if got := tally(p); got[1] != 0 {
+			t.Fatalf("m=%d: dead tier assigned %d subgroups", m, got[1])
 		}
 	}
 }

@@ -499,8 +499,14 @@ func runSched(cfg Config) (*Result, error) {
 				inflight := 0
 				pending := make([]int, len(order))
 				copy(pending, order)
-				issue := func() {
-					for len(pending) > 0 && inflight < prefetchDepth {
+				// issue fills the prefetch window. A coalesced batch takes
+				// same-tier subgroups from ahead of the head, so the window
+				// can fill while an earlier subgroup is still unissued;
+				// force issues the head anyway, for a consumer that needs
+				// it now (the engine's consumer never passes its own fetch).
+				issue := func(force bool) {
+					for len(pending) > 0 && (force || inflight < prefetchDepth) {
+						force = false
 						sgID := pending[0]
 						pending = pending[1:]
 						if cfg.CPUOnly || ws.loc[sgID] == -1 {
@@ -560,8 +566,11 @@ func runSched(cfg Config) (*Result, error) {
 						r.submitFetchBatch(w, tier, batch, !ap.SkipGradFlush && !cfg.CPUOnly, it, fetches)
 					}
 				}
-				issue()
+				issue(false)
 				for _, sgID := range order {
+					if len(pending) > 0 && pending[0] == sgID {
+						issue(true)
+					}
 					n := float64(r.sgParams[sgID])
 					if pf, ok := fetches[sgID]; ok {
 						if !pf.ev.Fired() && pf.op != nil {
@@ -599,7 +608,7 @@ func runSched(cfg Config) (*Result, error) {
 								fmt.Sprintf("w%d.flush%d", w, evicted), float64(r.sgParams[evicted])*12, it, ev)
 						}
 					}
-					issue()
+					issue(false)
 				}
 				for _, ev := range flushEvents {
 					ev.Wait(p)

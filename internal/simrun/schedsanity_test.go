@@ -73,3 +73,35 @@ func TestSchedPathSanity(t *testing.T) {
 			engine.IterTime(), viaSched.IterTime())
 	}
 }
+
+// TestCoalescedFetchesNeverSkipped: a coalesced batch takes same-tier
+// subgroups from ahead of the prefetch head, so the window can fill while
+// an earlier subgroup is still unissued. The consumer must still fetch it
+// rather than count a hit: a cold first iteration has no hits, no later
+// one has more hits than the host caches hold, and every miss reads its
+// state.
+func TestCoalescedFetchesNeverSkipped(t *testing.T) {
+	const sgParams = 1e6
+	tb := cluster.Testbed1()
+	res, err := Run(Config{
+		Testbed: tb, Model: model.Config{Name: "1.3B", NominalParams: 13e8},
+		Approach: EngineTrue(), SubgroupParams: sgParams,
+		Iterations: 4, CacheSlots: 96, PrefetchDepth: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, it := range res.Series.Iterations() {
+		maxHits := res.CacheSlotsPerWorker * tb.GPUsPerNode
+		if i == 0 {
+			maxHits = 0
+		}
+		if it.CacheHits > maxHits {
+			t.Errorf("iteration %d: %d hits, %d misses; at most %d hits fit the host caches",
+				i, it.CacheHits, it.CacheMisses, maxHits)
+		}
+		if want := float64(it.CacheMisses) * sgParams * 12; it.BytesRead != want {
+			t.Errorf("iteration %d: read %g B for %d misses, want %g", i, it.BytesRead, it.CacheMisses, want)
+		}
+	}
+}

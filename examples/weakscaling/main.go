@@ -26,7 +26,7 @@ func main() {
 		run := func(ap mlpoffload.SimApproach) *mlpoffload.SimResult {
 			r, err := mlpoffload.RunSim(mlpoffload.SimConfig{
 				Testbed: mlpoffload.Testbed2(), Model: m, Nodes: c.nodes,
-				Approach: ap, Iterations: 6, Warmup: 2, TraceIteration: -1,
+				Approach: ap, Iterations: 6, Warmup: 2,
 			})
 			if err != nil {
 				log.Fatal(err)

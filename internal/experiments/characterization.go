@@ -34,7 +34,7 @@ func Fig3(o Options) (string, error) {
 		r, err := simrun.Run(simrun.Config{
 			Testbed: cluster.Testbed1(), Model: cs.mdl,
 			Approach: simrun.DeepSpeedZeRO3(), CPUOnly: cs.cpuOnly,
-			Iterations: o.Iterations, Warmup: o.Warmup, TraceIteration: -1,
+			Iterations: o.Iterations, Warmup: o.Warmup,
 		})
 		if err != nil {
 			return "", err
@@ -104,7 +104,7 @@ func Fig5(o Options) (string, error) {
 		Testbed: cluster.Testbed1(), Model: m,
 		Approach:   simrun.DeepSpeedZeRO3(),
 		Iterations: o.Iterations, Warmup: o.Warmup,
-		TraceIteration: o.Warmup, // first measured iteration
+		TraceSubgroups: true,
 	})
 	if err != nil {
 		return "", err

@@ -98,7 +98,7 @@ func Fig10(o Options) (string, error) {
 		}
 		r, err := simrun.Run(simrun.Config{
 			Testbed: cluster.Testbed1(), Model: m, Approach: simrun.MLPOffload(),
-			Iterations: o.Iterations, Warmup: o.Warmup, TraceIteration: -1,
+			Iterations: o.Iterations, Warmup: o.Warmup,
 		})
 		if err != nil {
 			return "", err
@@ -190,7 +190,7 @@ func Fig13(o Options) (string, error) {
 			r, err := simrun.Run(simrun.Config{
 				Testbed: cluster.Testbed1(), Model: m, Approach: ap,
 				MicroBatch: 8, GradAccumSteps: accum,
-				Iterations: o.Iterations, Warmup: o.Warmup, TraceIteration: -1,
+				Iterations: o.Iterations, Warmup: o.Warmup,
 			})
 			if err != nil {
 				return "", err
@@ -226,7 +226,7 @@ func ablationTable(title string, ladder []simrun.Approach, o Options, note strin
 		for i, ap := range ladder {
 			r, err := simrun.Run(simrun.Config{
 				Testbed: cluster.Testbed1(), Model: m, Approach: ap,
-				Iterations: o.Iterations, Warmup: o.Warmup, TraceIteration: -1,
+				Iterations: o.Iterations, Warmup: o.Warmup,
 			})
 			if err != nil {
 				return "", err

@@ -101,7 +101,7 @@ func runPair(tb cluster.Testbed, mdl string, nodes int, o Options) (ds, mlp *sim
 	}
 	base := simrun.Config{
 		Testbed: tb, Model: m, Nodes: nodes,
-		Iterations: o.Iterations, Warmup: o.Warmup, TraceIteration: -1,
+		Iterations: o.Iterations, Warmup: o.Warmup,
 	}
 	cfgDS := base
 	cfgDS.Approach = simrun.DeepSpeedZeRO3()

@@ -1,9 +1,14 @@
 package experiments
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current experiment output")
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"tab1", "tab2", "fig1", "fig3", "fig4", "fig5",
@@ -30,9 +35,13 @@ func TestByID(t *testing.T) {
 	}
 }
 
-// TestAllExperimentsRun executes every experiment in quick mode and spot
-// checks the output shape. This is the end-to-end regression for the whole
-// reproduction pipeline.
+// TestAllExperimentsRun executes every experiment in quick mode, spot
+// checks the output shape and compares it byte for byte against
+// testdata/<id>.golden. This is the end-to-end regression for the whole
+// reproduction pipeline: the simulator is deterministic, so any change to
+// a figure shows up as a golden diff. Regenerate the goldens with
+//
+//	go test ./internal/experiments -run TestAllExperimentsRun -update
 func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep in -short mode")
@@ -71,6 +80,21 @@ func TestAllExperimentsRun(t *testing.T) {
 				if !strings.Contains(out, needle) {
 					t.Errorf("%s output missing %q:\n%s", e.ID, needle, out)
 				}
+			}
+			golden := filepath.Join("testdata", e.ID+".golden")
+			if *update {
+				if err := os.WriteFile(golden, []byte(out), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("%v (run with -update to create it)", err)
+			}
+			if out != string(want) {
+				t.Errorf("%s output differs from %s (run with -update if the change is intended):\n got:\n%s\nwant:\n%s",
+					e.ID, golden, out, want)
 			}
 		})
 	}

@@ -33,14 +33,14 @@ func ExtAdaptive(o Options) (string, error) {
 		ap.AdaptivePlacement = adaptive
 		clean, err := simrun.Run(simrun.Config{
 			Testbed: cluster.Testbed1(), Model: m, Approach: ap,
-			Iterations: o.Iterations, Warmup: o.Warmup, TraceIteration: -1,
+			Iterations: o.Iterations, Warmup: o.Warmup,
 		})
 		if err != nil {
 			return "", err
 		}
 		degraded, err := simrun.Run(simrun.Config{
 			Testbed: cluster.Testbed1(), Model: m, Approach: ap,
-			Iterations: o.Iterations, Warmup: o.Warmup, TraceIteration: -1,
+			Iterations: o.Iterations, Warmup: o.Warmup,
 			PFSLoadFactor: 0.2, PFSLoadAfter: 2,
 		})
 		if err != nil {
@@ -78,7 +78,7 @@ func ExtSubgroup(o Options) (string, error) {
 		r, err := simrun.Run(simrun.Config{
 			Testbed: cluster.Testbed1(), Model: m, Approach: simrun.MLPOffload(),
 			SubgroupParams: sg,
-			Iterations:     o.Iterations, Warmup: o.Warmup, TraceIteration: -1,
+			Iterations:     o.Iterations, Warmup: o.Warmup,
 		})
 		if err != nil {
 			return "", err

@@ -1,11 +1,11 @@
-// The scheduler-based pipeline: the DES model of the engine as PRs 3/4/8
-// left it. Where the original paper pipeline (simrun.go) moves bytes
-// directly over tier links, this variant routes every tier operation
-// through a des.Sched per (tier, GPU worker) — the analogue of the aio
-// engine objects the runtime instantiates per storage path per process —
-// adding class-based priority with aging, background live migration after
+// The simulator pipeline: the DES model of the offloading engine. Every
+// tier operation goes through a des.Sched per (tier, GPU worker), the
+// analogue of the aio engine objects the runtime instantiates per storage
+// path per process. The paper's approaches run through it with one FIFO
+// class and every engine feature beyond the paper off; those features are
+// class-based priority with aging, background live migration after
 // replans, codec wire-vs-raw accounting, vectored fetch coalescing,
-// per-op submission overhead, co-tenant checkpoint storms, and mid-run
+// per-op submission overhead, co-tenant checkpoint storms and mid-run
 // tier failures.
 package simrun
 
@@ -20,10 +20,15 @@ import (
 	"github.com/datastates/mlpoffload/internal/placement"
 )
 
-// schedTier is one storage device in the scheduler pipeline. The device
-// itself is either the paper's half-duplex unit-capacity device-time link
-// or (FullDuplex) a pair of independent byte-rate links matching
-// storage.Throttled's two token buckets. One Sched per GPU worker feeds it.
+// schedTier is one storage device. By default it is the paper's
+// half-duplex device: reads and writes share it, so one byte read costs
+// 1/ReadBW device-seconds and one byte written costs 1/WriteBW, on a link
+// of unit capacity (one device-second per second). Concurrent
+// uncoordinated clients additionally pay the interference curve, while
+// exclusive access (the MLP-Offload concurrency control) serializes via
+// the mutex and sees the full device. With FullDuplex it is instead a pair
+// of independent byte-rate links matching storage.Throttled's two token
+// buckets. One Sched per GPU worker feeds it.
 type schedTier struct {
 	name       string
 	spec       cluster.StorageTierSpec
@@ -45,7 +50,7 @@ func (t *schedTier) scale(f float64) {
 	}
 }
 
-// schedRun carries the shared state of one scheduler-pipeline run.
+// schedRun carries the shared state of one simulated run.
 type schedRun struct {
 	cfg      Config
 	sim      *des.Sim
@@ -70,6 +75,21 @@ type schedRun struct {
 	migrations int64
 	migBytes   float64
 	traceLog   []string
+	trace      []SubgroupIO
+}
+
+// migrationWindow bounds concurrent background copies per worker, the
+// engine's default MigrationWindow.
+const migrationWindow = 2
+
+// workerState is one GPU worker's residency and migration bookkeeping.
+type workerState struct {
+	lru       *hostcache.LRU
+	loc       []int // -1 = host, else tier index
+	phase     int
+	migrating map[int]*des.Event
+	migQueue  []int
+	migActive int
 }
 
 // release drops one pipeline client (worker, storm job, migrator); the
@@ -89,7 +109,9 @@ func (r *schedRun) release() {
 func (r *schedRun) wire(raw float64) float64 { return raw / r.codecRatio }
 
 // readExec returns the service closure for a read: exclusive lock, device
-// transfer of the wire bytes, estimator observation, decode cost.
+// transfer of the wire bytes, estimator observation, decode cost. The
+// estimator observes the device transfer alone: feeding lock and queue
+// delay back into placement would destabilize it.
 func (r *schedRun) readExec(t *schedTier, raw, wireB float64) func(p *des.Proc) {
 	return func(p *des.Proc) {
 		if t.mu != nil {
@@ -136,8 +158,9 @@ func (r *schedRun) writeExec(t *schedTier, raw, wireB float64) func(p *des.Proc)
 }
 
 // submitWrite queues a write and a bridge proc that records it into the
-// iteration accumulator and fires ev on completion.
-func (r *schedRun) submitWrite(w int, t *schedTier, class aio.Class, name string, raw float64, it *metrics.Iteration, ev *des.Event) {
+// iteration accumulator and calls done with the latency the runtime
+// perceives (queueing included).
+func (r *schedRun) submitWrite(w int, t *schedTier, class aio.Class, name string, raw float64, it *metrics.Iteration, done func(latency float64)) {
 	wireB := r.wire(raw)
 	op := t.scheds[w].Submit(r.classOf(class), name, raw, r.writeExec(t, raw, wireB))
 	r.sim.Spawn(name+".done", func(p *des.Proc) {
@@ -146,9 +169,7 @@ func (r *schedRun) submitWrite(w int, t *schedTier, class aio.Class, name string
 		it.WireBytesWritten += wireB
 		it.WriteTime += op.Latency()
 		it.RecordClassIO(r.classes[op.Class()], raw, wireB, op.QueueDelay(), op.Latency()-op.QueueDelay())
-		if ev != nil {
-			ev.Fire()
-		}
+		done(op.Latency())
 	})
 }
 
@@ -161,8 +182,10 @@ type pendingFetch struct {
 
 // submitFetchBatch queues one (possibly vectored) state read covering the
 // batch, plus per-subgroup gradient reads in no-skip mode, and a bridge
-// proc that accounts the op and fires each member's event.
-func (r *schedRun) submitFetchBatch(w int, tierIdx int, batch []int, grads bool, it *metrics.Iteration, fetches map[int]*pendingFetch) {
+// proc that accounts the op and fires each member's event. A non-nil pos
+// (update-order position by subgroup) records each member's perceived
+// throughput into the Figure 5 trace.
+func (r *schedRun) submitFetchBatch(w int, tierIdx int, batch []int, pos []int, it *metrics.Iteration, fetches map[int]*pendingFetch) {
 	t := r.tiers[tierIdx]
 	sc := t.scheds[w]
 	var stateRaw float64
@@ -174,7 +197,7 @@ func (r *schedRun) submitFetchBatch(w int, tierIdx int, batch []int, grads bool,
 		stateRaw, r.readExec(t, stateRaw, stateWire))
 	var gradOps []*des.SchedOp
 	var gradRaw float64
-	if grads {
+	if !r.cfg.Approach.SkipGradFlush {
 		for _, sg := range batch {
 			raw := float64(r.sgParams[sg]) * 4
 			gradRaw += raw
@@ -201,15 +224,22 @@ func (r *schedRun) submitFetchBatch(w int, tierIdx int, batch []int, grads bool,
 		it.WireBytesRead += stateWire + r.wire(gradRaw)
 		it.ReadTime += perceived
 		r.fetchLat = append(r.fetchLat, perceived)
-		for _, ev := range evs {
+		for i, ev := range evs {
+			if pos != nil {
+				r.trace = append(r.trace, SubgroupIO{Pos: pos[batch[i]], ReadBW: (stateRaw + gradRaw) / perceived})
+			}
 			ev.Fire()
 		}
 	})
 }
 
-// runSched executes the scheduler-based pipeline. Structure parallels Run;
-// see simrun.go for the shared modeling commentary.
-func runSched(cfg Config) (*Result, error) {
+// Run simulates one node of the configured system (nodes are symmetric;
+// inter-node collective cost is added to the backward pass) and returns
+// the measured result.
+func Run(cfg Config) (*Result, error) {
+	if err := cfg.normalize(); err != nil {
+		return nil, err
+	}
 	tb := cfg.Testbed
 	ap := cfg.Approach
 	W := tb.GPUsPerNode
@@ -234,17 +264,14 @@ func runSched(cfg Config) (*Result, error) {
 		}
 		r.classOf = func(c aio.Class) int { return int(c) }
 	} else {
-		// Flat FIFO: the pre-PR-3 engine, kept as the storm scenario's
+		// Flat FIFO: the paper's runtimes, and the storm scenario's
 		// contrast arm.
 		r.classes = []string{"fifo"}
 		r.classOf = func(aio.Class) int { return 0 }
 	}
 	aging := 0.0
 	if ap.PriorityIO {
-		aging = ap.AgingThreshold
-		if aging <= 0 {
-			aging = 0.05 // aio.DefaultAgingThreshold
-		}
+		aging = aio.DefaultAgingThreshold.Seconds()
 	}
 	ioWorkers := cfg.IOWorkers
 	if ioWorkers <= 0 {
@@ -256,6 +283,9 @@ func runSched(cfg Config) (*Result, error) {
 	}
 
 	mkTier := func(spec cluster.StorageTierSpec) *schedTier {
+		// Interference counts competing processes (one per GPU), not raw
+		// in-flight ops: deeper queues from one worker do not add device
+		// interference, they just wait their turn.
 		curve := des.CappedInterference(spec.InterferenceAlpha, W)
 		t := &schedTier{name: spec.Name, spec: spec}
 		if cfg.FullDuplex {
@@ -289,8 +319,13 @@ func runSched(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("simrun: checkpoint storm needs a storage tier")
 	}
 
+	// CPU update resource: processor-sharing across workers, measured in
+	// parameters/second.
 	cpu := sim.NewLink("cpu", tb.CPUUpdateParamsPerSec, nil)
 
+	// Placement plan (per worker; identical for all workers), seeded from
+	// the microbenchmark bandwidths and, with adaptive placement, re-fit
+	// each iteration from EWMA-smoothed observed bandwidths.
 	tierNames := make([]string, len(r.tiers))
 	if len(r.tiers) > 0 {
 		tbw := make([]placement.TierBandwidth, len(r.tiers))
@@ -302,6 +337,7 @@ func runSched(cfg Config) (*Result, error) {
 		r.plan = placement.NewPlan(M, tbw)
 	}
 
+	// Host cache capacity.
 	stateBytesPerSG := float64(cfg.SubgroupParams) * 12
 	var slots int
 	if ap.Order == hostcache.Alternating {
@@ -314,6 +350,8 @@ func runSched(cfg Config) (*Result, error) {
 			slots = M
 		}
 	} else {
+		// DeepNVMe's rotating buffers: one prefetched, one updating, one
+		// flushing.
 		slots = 3
 	}
 	if cfg.CacheSlots > 0 {
@@ -330,14 +368,14 @@ func runSched(cfg Config) (*Result, error) {
 	if coalesce < 2 {
 		coalesce = 1
 	}
-	migWindow := ap.MigrationWindow
-	if migWindow <= 0 {
-		migWindow = 2
-	}
 
+	// Compute-time model.
 	tokensPerStep := float64(cfg.Model.SeqLen * cfg.MicroBatch)
 	fwdTime := cfg.Model.FLOPsPerToken() * tokensPerStep / (tb.GPU.TFLOPS * 1e12)
-	bwdComputeTime := 3 * fwdTime
+	bwdComputeTime := 3 * fwdTime // 2x backward + 1x activation recompute
+	// Inter-node collectives (tensor parallel intra-node, data parallel
+	// across nodes): FP16 gradient reduce-scatter + parameter all-gather,
+	// sharded 1/W by tensor parallelism.
 	commTime := cluster.CollectiveTime(2*2*float64(totalParams)/float64(W), cfg.Nodes, tb.InterconnectBW)
 
 	r.sgParams = make([]int64, M)
@@ -349,18 +387,9 @@ func runSched(cfg Config) (*Result, error) {
 		r.sgParams[i] = n
 	}
 
-	type schedWorkerState struct {
-		workerState
-		migrating map[int]*des.Event
-		migQueue  []int
-		migActive int
-	}
-	workers := make([]*schedWorkerState, W)
+	workers := make([]*workerState, W)
 	for w := range workers {
-		ws := &schedWorkerState{
-			workerState: workerState{lru: hostcache.NewLRU(slots), loc: make([]int, M)},
-			migrating:   make(map[int]*des.Event),
-		}
+		ws := &workerState{lru: hostcache.NewLRU(slots), loc: make([]int, M), migrating: make(map[int]*des.Event)}
 		for i := range ws.loc {
 			if cfg.CPUOnly {
 				ws.loc[i] = -1
@@ -371,6 +400,7 @@ func runSched(cfg Config) (*Result, error) {
 		workers[w] = ws
 	}
 
+	// Measurement state (DES is single-threaded: plain fields suffice).
 	iters := make([]metrics.Iteration, cfg.Iterations)
 	for i := range iters {
 		iters[i].TierBytes = make(map[string]float64)
@@ -385,17 +415,17 @@ func runSched(cfg Config) (*Result, error) {
 	conv := tb.CPUConvertBytesPerSec
 
 	// kickMigration drains a worker's misplaced subgroups toward the plan
-	// in the background: up to migWindow concurrent copies at Migration
-	// class, each a read from the stale tier plus a write to the planned
-	// one (the engine's migrator loop).
-	kickMigration := func(w int, ws *schedWorkerState) {
+	// in the background: up to migrationWindow concurrent copies at
+	// Migration class, each a read from the stale tier plus a write to the
+	// planned one (the engine's migrator loop).
+	kickMigration := func(w int, ws *workerState) {
 		for sg := 0; sg < M; sg++ {
 			if ws.loc[sg] >= 0 && ws.loc[sg] != r.plan.TierFor(sg) && ws.migrating[sg] == nil {
 				ws.migQueue = append(ws.migQueue, sg)
 				ws.migrating[sg] = sim.NewEvent()
 			}
 		}
-		for ws.migActive < migWindow && len(ws.migQueue) > 0 {
+		for ws.migActive < migrationWindow && len(ws.migQueue) > 0 {
 			ws.migActive++
 			r.clients++
 			sim.Spawn(fmt.Sprintf("w%d.migrator%d", w, ws.migActive), func(p *des.Proc) {
@@ -444,6 +474,9 @@ func runSched(cfg Config) (*Result, error) {
 				it := &iters[iter]
 				if w == 0 {
 					stamps[iter].start = p.Now()
+					// External PFS pressure kicks in at the configured
+					// iteration: the shared file system delivers only a
+					// fraction of its microbenchmarked bandwidth.
 					if cfg.PFSLoadFactor > 0 && cfg.PFSLoadFactor < 1 &&
 						iter == cfg.PFSLoadAfter && ap.UsePFS && len(r.tiers) > 1 {
 						r.tiers[1].scale(cfg.PFSLoadFactor)
@@ -462,14 +495,22 @@ func runSched(cfg Config) (*Result, error) {
 				}
 
 				// ---- Backward ----
+				// Grad flushes are asynchronous but bounded to one in
+				// flight per worker, as DeepNVMe's submission queue is:
+				// when the device falls behind, the backward pass stalls
+				// waiting for the previous flush, exactly the "large
+				// asynchronous FP32 gradient flushes that can delay the
+				// backward pass" the paper eliminates.
 				var prevGradFlush *des.Event
 				for a := 0; a < cfg.GradAccumSteps; a++ {
 					last := a == cfg.GradAccumSteps-1
 					for i := 0; i < M; i++ {
 						n := float64(r.sgParams[i])
 						p.Sleep(bwdComputeTime / float64(M))
-						p.Sleep(n * fp16Bytes / d2h)
+						p.Sleep(n * fp16Bytes / d2h) // FP16 grads D2H
 						if !ap.SkipGradFlush && last && !cfg.CPUOnly {
+							// Upscale to FP32 and flush to the subgroup's
+							// tier asynchronously.
 							p.Sleep(n * 4 / conv)
 							if prevGradFlush != nil {
 								prevGradFlush.Wait(p)
@@ -477,7 +518,7 @@ func runSched(cfg Config) (*Result, error) {
 							tier := r.tiers[tierOf(ws.loc[i], r.plan, i)]
 							ev := sim.NewEvent()
 							prevGradFlush = ev
-							r.submitWrite(w, tier, aio.Flush, fmt.Sprintf("w%d.gflush%d", w, i), n*4, it, ev)
+							r.submitWrite(w, tier, aio.Flush, fmt.Sprintf("w%d.gflush%d", w, i), n*4, it, func(float64) { ev.Fire() })
 						}
 					}
 				}
@@ -492,8 +533,17 @@ func runSched(cfg Config) (*Result, error) {
 					stamps[iter].bwdEnd = p.Now()
 				}
 
-				// ---- Update ----
+				// ---- Update (Algorithm 1) ----
 				order := hostcache.UpdateOrder(ap.Order, M, ws.phase)
+				// Figure 5 trace: worker 0's update-phase fetches and
+				// flushes in the first measured iteration.
+				var pos []int
+				if cfg.TraceSubgroups && w == 0 && iter == cfg.Warmup {
+					pos = make([]int, M)
+					for i, sg := range order {
+						pos[sg] = i
+					}
+				}
 				fetches := make(map[int]*pendingFetch, prefetchDepth)
 				var flushEvents []*des.Event
 				inflight := 0
@@ -539,6 +589,9 @@ func runSched(cfg Config) (*Result, error) {
 								it.ReadTime += perceived
 								it.RecordClassIO(r.classes[op.Class()], raw, wireB, op.QueueDelay(), op.Latency()-op.QueueDelay())
 								r.fetchLat = append(r.fetchLat, perceived)
+								if pos != nil {
+									r.trace = append(r.trace, SubgroupIO{Pos: pos[sg], ReadBW: raw / perceived})
+								}
 								pf.ev.Fire()
 							})
 							continue
@@ -563,7 +616,7 @@ func runSched(cfg Config) (*Result, error) {
 							}
 						}
 						inflight += len(batch)
-						r.submitFetchBatch(w, tier, batch, !ap.SkipGradFlush && !cfg.CPUOnly, it, fetches)
+						r.submitFetchBatch(w, tier, batch, pos, it, fetches)
 					}
 				}
 				issue(false)
@@ -588,15 +641,18 @@ func runSched(cfg Config) (*Result, error) {
 						it.CacheHits++
 					}
 					if ap.SkipGradFlush {
-						p.Sleep(n * 4 / conv)
+						p.Sleep(n * 4 / conv) // delayed FP16→FP32 conversion
 					}
 					t0 := p.Now()
-					cpu.Transfer(p, n)
+					cpu.Transfer(p, n) // Adam kernel (params as units)
 					it.UpdateComputeTime += p.Now() - t0
-					p.Sleep(n * fp16Bytes / d2h)
+					p.Sleep(n * fp16Bytes / d2h) // FP16 params H2D
 					if !cfg.CPUOnly {
 						evicted, did := ws.lru.Touch(sgID)
 						if did {
+							// Lazy flush, bounded to two in flight per
+							// worker (the staging-buffer backpressure of a
+							// real async engine: one flushing + one queued).
 							if len(flushEvents) >= 2 {
 								flushEvents[len(flushEvents)-2].Wait(p)
 							}
@@ -604,8 +660,13 @@ func runSched(cfg Config) (*Result, error) {
 							ws.loc[evicted] = dst
 							ev := sim.NewEvent()
 							flushEvents = append(flushEvents, ev)
-							r.submitWrite(w, r.tiers[dst], aio.Flush,
-								fmt.Sprintf("w%d.flush%d", w, evicted), float64(r.sgParams[evicted])*12, it, ev)
+							raw := float64(r.sgParams[evicted]) * 12
+							r.submitWrite(w, r.tiers[dst], aio.Flush, fmt.Sprintf("w%d.flush%d", w, evicted), raw, it, func(lat float64) {
+								if pos != nil {
+									r.trace = append(r.trace, SubgroupIO{Pos: pos[evicted], WriteBW: raw / lat})
+								}
+								ev.Fire()
+							})
 						}
 					}
 					issue(false)
@@ -618,11 +679,14 @@ func runSched(cfg Config) (*Result, error) {
 				barrier.Await(p)
 				if w == 0 {
 					stamps[iter].updEnd = p.Now()
+					// Re-fit the placement (Eq. 1) from observed
+					// bandwidths; flushes and the migrator move subgroups
+					// toward the faster paths.
 					if ap.AdaptivePlacement && len(r.tiers) > 1 {
 						r.plan = placement.NewPlan(M, r.est.Bandwidths(tierNames, 1))
 					}
 				}
-				barrier.Await(p)
+				barrier.Await(p) // replanning visible to all before next iteration
 				// Background convergence toward the fresh plan; skipped
 				// after the final iteration (nothing left to serve).
 				if ap.LiveMigration && len(r.tiers) > 1 && iter < cfg.Iterations-1 {
@@ -673,7 +737,7 @@ func runSched(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("simrun: %w", err)
 	}
 
-	res := &Result{Config: cfg, CacheSlotsPerWorker: slots}
+	res := &Result{Config: cfg, Trace: r.trace, CacheSlotsPerWorker: slots}
 	if len(r.tiers) > 0 {
 		res.PlanRatio = r.plan.Ratio()
 	}
@@ -687,12 +751,23 @@ func runSched(cfg Config) (*Result, error) {
 		}
 		res.Series.Append(iters[i])
 	}
-	plainWorkers := make([]*workerState, W)
-	for w := range workers {
-		plainWorkers[w] = &workers[w].workerState
-	}
+	// Optimizer-state bytes by final location across all workers of the
+	// node, and the offloaded subgroups left off-plan.
 	mean := res.Series.Mean()
-	mean.TierBytes = schedTierDistribution(plainWorkers, r.sgParams, r.tiers)
+	mean.TierBytes = make(map[string]float64)
+	for _, ws := range workers {
+		for sg, loc := range ws.loc {
+			b := float64(r.sgParams[sg]) * 12
+			if loc == -1 {
+				mean.TierBytes["host"] += b
+				continue
+			}
+			mean.TierBytes[r.tiers[loc].name] += b
+			if loc != r.plan.TierFor(sg) {
+				res.MisplacedEnd++
+			}
+		}
+	}
 	res.Mean = mean
 
 	// Run-level class accounting, aggregated across every scheduler in a
@@ -725,29 +800,14 @@ func runSched(cfg Config) (*Result, error) {
 	res.CheckpointOps = r.ckptOps
 	res.CheckpointP95 = des.Percentile(r.ckptLat, 95)
 	res.EventTrace = r.traceLog
-	for _, ws := range workers {
-		for sg, loc := range ws.loc {
-			if loc >= 0 && loc != r.plan.TierFor(sg) {
-				res.MisplacedEnd++
-			}
-		}
-	}
 	return res, nil
 }
 
-// schedTierDistribution mirrors tierDistribution for the scheduler
-// pipeline's tier type.
-func schedTierDistribution(workers []*workerState, sgParams []int64, tiers []*schedTier) map[string]float64 {
-	out := make(map[string]float64)
-	for _, ws := range workers {
-		for i, loc := range ws.loc {
-			b := float64(sgParams[i]) * 12
-			if loc == -1 {
-				out["host"] += b
-			} else {
-				out[tiers[loc].name] += b
-			}
-		}
+// tierOf resolves the tier for a subgroup that may be host-resident (use
+// its planned tier for gradient objects).
+func tierOf(loc int, plan placement.Plan, sg int) int {
+	if loc >= 0 {
+		return loc
 	}
-	return out
+	return plan.TierFor(sg)
 }

@@ -160,7 +160,7 @@ func Scenarios() []Scenario {
 	return []Scenario{
 		{
 			Name:  "baseline-40b",
-			Title: "40B on Testbed-1: DeepSpeed baseline vs paper pipeline vs engine-true pipeline",
+			Title: "40B on Testbed-1: DeepSpeed ZeRO-3 vs MLP-Offload (FIFO I/O) vs engine-true",
 			run: func(opts MatrixOptions) (*CellReport, error) {
 				iters, warm := sized(opts, 6, 1)
 				m, err := model.ByName("40B")

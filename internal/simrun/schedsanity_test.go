@@ -7,12 +7,11 @@ import (
 	"github.com/datastates/mlpoffload/internal/model"
 )
 
-// TestSchedPathSanity pins the relationship between the two simulator
-// pipelines: routing the paper's MLP-Offload configuration through the
-// scheduler-based engine model (PriorityIO) must reproduce the original
-// analytic pipeline's iteration time closely — same tiers, same plan,
-// same cache — while additionally exposing per-class I/O statistics.
-// A large gap here means one of the two transfer models drifted.
+// TestSchedPathSanity pins the scheduler accounting of the one pipeline:
+// the paper's approaches run through a single FIFO class, PriorityIO
+// splits the same traffic into aio's classes, and the engine-true
+// configuration (adds migration and coalescing) is not slower than the
+// plain classed run.
 func TestSchedPathSanity(t *testing.T) {
 	m, err := model.ByName("40B")
 	if err != nil {
@@ -36,72 +35,75 @@ func TestSchedPathSanity(t *testing.T) {
 	}
 
 	paper := run(MLPOffload())
-	sched := MLPOffload()
-	sched.Name = "MLP-Offload (sched path)"
-	sched.PriorityIO = true
-	viaSched := run(sched)
-
-	if len(paper.Classes) != 0 {
-		t.Errorf("paper pipeline reported class stats: %v", paper.Classes)
+	if len(paper.Classes) != 1 || paper.Classes["fifo"].Ops == 0 {
+		t.Errorf("paper approach should run through one fifo class: %v", paper.Classes)
 	}
-	if len(viaSched.Classes) == 0 {
-		t.Error("scheduler pipeline reported no class stats")
-	}
+	classed := MLPOffload()
+	classed.Name = "MLP-Offload (priority I/O)"
+	classed.PriorityIO = true
+	viaSched := run(classed)
 	for _, class := range []string{"prefetch", "flush"} {
 		if viaSched.Classes[class].Ops == 0 {
-			t.Errorf("scheduler pipeline moved no %s ops: %v", class, viaSched.Classes)
+			t.Errorf("priority I/O moved no %s ops: %v", class, viaSched.Classes)
 		}
 	}
-	// Same physics, two mechanisms: iteration times must agree within a
-	// modelling tolerance (the sched path resolves contention op by op,
-	// the paper path via the interference curve).
-	if d := relDrift(viaSched.IterTime(), paper.IterTime()); d > 0.15 {
-		t.Errorf("sched path iter %.2fs vs paper path %.2fs: drift %.3f > 0.15",
-			viaSched.IterTime(), paper.IterTime(), d)
-	}
-	if viaSched.Mean.CacheHits != paper.Mean.CacheHits ||
-		viaSched.Mean.CacheMisses != paper.Mean.CacheMisses {
-		t.Errorf("cache behaviour differs across pipelines: sched %d/%d, paper %d/%d",
-			viaSched.Mean.CacheHits, viaSched.Mean.CacheMisses,
-			paper.Mean.CacheHits, paper.Mean.CacheMisses)
-	}
-	// The engine-true configuration (adds migration + coalescing) must
-	// still run and not be slower than the plain sched path.
 	engine := run(EngineTrue())
 	if engine.IterTime() > viaSched.IterTime()*1.10 {
-		t.Errorf("engine-true config %.2fs is >10%% slower than plain sched path %.2fs",
+		t.Errorf("engine-true config %.2fs is >10%% slower than the priority I/O run %.2fs",
 			engine.IterTime(), viaSched.IterTime())
 	}
 }
 
-// TestCoalescedFetchesNeverSkipped: a coalesced batch takes same-tier
-// subgroups from ahead of the prefetch head, so the window can fill while
-// an earlier subgroup is still unissued. The consumer must still fetch it
-// rather than count a hit: a cold first iteration has no hits, no later
-// one has more hits than the host caches hold, and every miss reads its
-// state.
+// TestCoalescedFetchesNeverSkipped checks the cache and fetch accounting
+// identities on every approach the figures and the matrix run. A
+// coalesced batch takes same-tier subgroups from ahead of the prefetch
+// head, so the window can fill while an earlier subgroup is still
+// unissued; the consumer must still fetch it rather than count a hit. So:
+// a cold first iteration has no hits, no iteration has more hits than the
+// host caches hold, every subgroup is a hit or a miss, and every miss
+// reads its state (12 B/param), plus its FP32 gradients (4 B/param) when
+// gradient flushes are not skipped.
 func TestCoalescedFetchesNeverSkipped(t *testing.T) {
-	const sgParams = 1e6
+	const (
+		sgParams = 1e6
+		params   = 13e8
+	)
+	approaches := []Approach{DeepSpeedZeRO3(), MLPOffload(), EngineTrue()}
+	approaches = append(approaches, AblationLadderNVMe()[1:]...)
+	approaches = append(approaches, AblationLadderMultiPath()...)
 	tb := cluster.Testbed1()
-	res, err := Run(Config{
-		Testbed: tb, Model: model.Config{Name: "1.3B", NominalParams: 13e8},
-		Approach: EngineTrue(), SubgroupParams: sgParams,
-		Iterations: 4, CacheSlots: 96, PrefetchDepth: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, it := range res.Series.Iterations() {
-		maxHits := res.CacheSlotsPerWorker * tb.GPUsPerNode
-		if i == 0 {
-			maxHits = 0
-		}
-		if it.CacheHits > maxHits {
-			t.Errorf("iteration %d: %d hits, %d misses; at most %d hits fit the host caches",
-				i, it.CacheHits, it.CacheMisses, maxHits)
-		}
-		if want := float64(it.CacheMisses) * sgParams * 12; it.BytesRead != want {
-			t.Errorf("iteration %d: read %g B for %d misses, want %g", i, it.BytesRead, it.CacheMisses, want)
-		}
+	for _, ap := range approaches {
+		t.Run(ap.Name, func(t *testing.T) {
+			res, err := Run(Config{
+				Testbed: tb, Model: model.Config{Name: "1.3B", NominalParams: params},
+				Approach: ap, SubgroupParams: sgParams,
+				Iterations: 4, CacheSlots: 96, PrefetchDepth: 2,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fetchBytes := sgParams * 12.0
+			if !ap.SkipGradFlush {
+				fetchBytes = sgParams * 16.0
+			}
+			subgroups := int64(params / sgParams)
+			for i, it := range res.Series.Iterations() {
+				maxHits := res.CacheSlotsPerWorker * tb.GPUsPerNode
+				if i == 0 {
+					maxHits = 0
+				}
+				if it.CacheHits > maxHits {
+					t.Errorf("iteration %d: %d hits, %d misses; at most %d hits fit the host caches",
+						i, it.CacheHits, it.CacheMisses, maxHits)
+				}
+				if got := int64(it.CacheHits + it.CacheMisses); got != subgroups {
+					t.Errorf("iteration %d: %d hits + %d misses, want %d subgroups",
+						i, it.CacheHits, it.CacheMisses, subgroups)
+				}
+				if want := float64(it.CacheMisses) * fetchBytes; it.BytesRead != want {
+					t.Errorf("iteration %d: read %g B for %d misses, want %g", i, it.BytesRead, it.CacheMisses, want)
+				}
+			}
+		})
 	}
 }

@@ -15,7 +15,7 @@ func run40B(t *testing.T, ap Approach) *Result {
 	}
 	r, err := Run(Config{
 		Testbed: cluster.Testbed1(), Model: m, Approach: ap,
-		Iterations: 4, Warmup: 1, TraceIteration: -1,
+		Iterations: 4, Warmup: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func TestAblationLaddersMonotone(t *testing.T) {
 	runOne := func(ap Approach) float64 {
 		r, err := Run(Config{
 			Testbed: cluster.Testbed1(), Model: m, Approach: ap,
-			Iterations: 3, Warmup: 1, TraceIteration: -1,
+			Iterations: 3, Warmup: 1,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -104,7 +104,7 @@ func TestCPUOnly20B(t *testing.T) {
 	r, err := Run(Config{
 		Testbed: cluster.Testbed1(), Model: model.Baseline20B(),
 		Approach: DeepSpeedZeRO3(), CPUOnly: true,
-		Iterations: 3, Warmup: 1, TraceIteration: -1,
+		Iterations: 3, Warmup: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +179,7 @@ func TestGradAccumAmortizes(t *testing.T) {
 		r, err := Run(Config{
 			Testbed: cluster.Testbed1(), Model: m, Approach: ap,
 			MicroBatch: 8, GradAccumSteps: accum,
-			Iterations: 3, Warmup: 1, TraceIteration: -1,
+			Iterations: 3, Warmup: 1,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -211,14 +211,14 @@ func TestWeakScaling(t *testing.T) {
 		m, _ := model.ByName(c.model)
 		ds, err := Run(Config{
 			Testbed: cluster.Testbed2(), Model: m, Nodes: c.nodes,
-			Approach: DeepSpeedZeRO3(), Iterations: 3, Warmup: 1, TraceIteration: -1,
+			Approach: DeepSpeedZeRO3(), Iterations: 3, Warmup: 1,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		mlp, err := Run(Config{
 			Testbed: cluster.Testbed2(), Model: m, Nodes: c.nodes,
-			Approach: MLPOffload(), Iterations: 3, Warmup: 1, TraceIteration: -1,
+			Approach: MLPOffload(), Iterations: 3, Warmup: 1,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -237,7 +237,7 @@ func TestTraceRecorded(t *testing.T) {
 	m, _ := model.ByName("40B")
 	r, err := Run(Config{
 		Testbed: cluster.Testbed1(), Model: m, Approach: DeepSpeedZeRO3(),
-		Iterations: 3, Warmup: 1, TraceIteration: 2,
+		Iterations: 3, Warmup: 1, TraceSubgroups: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -245,13 +245,37 @@ func TestTraceRecorded(t *testing.T) {
 	if len(r.Trace) == 0 {
 		t.Fatal("no per-subgroup trace recorded")
 	}
+	// One traced iteration of worker 0: the sequential order misses on
+	// every subgroup, so each position is fetched exactly once, and at
+	// most one eviction flush per subgroup is recorded (gradient flushes
+	// belong to the backward pass and are not traced).
+	M := int(m.Params() / int64(cluster.Testbed1().GPUsPerNode) / 100e6)
+	fetched := make(map[int]int)
+	writes := 0
 	for _, pt := range r.Trace {
-		if pt.ReadBW < 0 || pt.WriteBW < 0 || pt.Pos < 0 {
+		if pt.ReadBW < 0 || pt.WriteBW < 0 || pt.Pos < 0 || pt.Pos >= M {
 			t.Errorf("bad trace point %+v", pt)
 		}
 		if pt.ReadBW > cluster.Testbed1().NVMe.ReadBW*1.01 {
 			t.Errorf("trace read BW %.2e exceeds device peak", pt.ReadBW)
 		}
+		if pt.ReadBW > 0 {
+			fetched[pt.Pos]++
+		}
+		if pt.WriteBW > 0 {
+			writes++
+		}
+	}
+	if len(fetched) != M {
+		t.Errorf("trace fetched %d distinct positions, want %d", len(fetched), M)
+	}
+	for pos, n := range fetched {
+		if n != 1 {
+			t.Errorf("position %d fetched %d times in the traced iteration", pos, n)
+		}
+	}
+	if writes == 0 || writes > M {
+		t.Errorf("trace recorded %d flushes, want 1..%d", writes, M)
 	}
 }
 
@@ -268,7 +292,7 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("empty config accepted")
 	}
 	tiny := model.Config{Name: "tiny", NominalParams: 100}
-	if _, err := Run(Config{Testbed: cluster.Testbed1(), Model: tiny, Nodes: 1000, TraceIteration: -1, Iterations: 2, Warmup: 0}); err == nil {
+	if _, err := Run(Config{Testbed: cluster.Testbed1(), Model: tiny, Nodes: 1000, Iterations: 2, Warmup: 0}); err == nil {
 		t.Error("model too small for worker count accepted")
 	}
 }
@@ -283,7 +307,7 @@ func TestAdaptivePlacementUnderPFSPressure(t *testing.T) {
 		ap.AdaptivePlacement = adaptive
 		r, err := Run(Config{
 			Testbed: cluster.Testbed1(), Model: m, Approach: ap,
-			Iterations: 10, Warmup: 4, TraceIteration: -1,
+			Iterations: 10, Warmup: 4,
 			PFSLoadFactor: 0.2, PFSLoadAfter: 2,
 		})
 		if err != nil {
@@ -305,14 +329,14 @@ func TestPFSLoadSlowsStaticPlacement(t *testing.T) {
 	ap.AdaptivePlacement = false
 	clean, err := Run(Config{
 		Testbed: cluster.Testbed1(), Model: m, Approach: ap,
-		Iterations: 4, Warmup: 1, TraceIteration: -1,
+		Iterations: 4, Warmup: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := Run(Config{
 		Testbed: cluster.Testbed1(), Model: m, Approach: ap,
-		Iterations: 4, Warmup: 1, TraceIteration: -1,
+		Iterations: 4, Warmup: 1,
 		PFSLoadFactor: 0.2, PFSLoadAfter: 0,
 	})
 	if err != nil {

@@ -77,14 +77,14 @@ func TestPublicSim(t *testing.T) {
 	m, _ := ModelByName("40B")
 	ds, err := RunSim(SimConfig{
 		Testbed: Testbed1(), Model: m, Approach: DeepSpeedZeRO3(),
-		Iterations: 3, Warmup: 1, TraceIteration: -1,
+		Iterations: 3, Warmup: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mlp, err := RunSim(SimConfig{
 		Testbed: Testbed1(), Model: m, Approach: MLPOffload(),
-		Iterations: 3, Warmup: 1, TraceIteration: -1,
+		Iterations: 3, Warmup: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
